@@ -1,5 +1,5 @@
 // Daemon experiment: what the hardened socket front end costs and what
-// its overload machinery guarantees.  Three row families, one
+// its overload machinery guarantees.  Four row families, one
 // BENCH_daemon.json:
 //
 //   1. Overload storm.  A client herd hammers a daemon whose admission
@@ -25,8 +25,18 @@
 //      degraded, and NO definitive verdict contradicts the exact
 //      relations computed in-process — degradation is sound, never
 //      wrong.
+//
+//   4. Single-request latency.  One client sends 20k sequential warm
+//      pair queries, then 20k sequential warm deadlock queries, each
+//      timed alone.  Warm pair queries are answered on the connection's
+//      reader thread; deadlock queries still cross the ThreadPool, so
+//      the gap between the two series is the remaining handoff cost.
+//      The bar: warm pair p50 <= 30 us (measured ~19 us on a 4-vCPU
+//      host), every pair answered inline and equal to the in-process
+//      relations.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -321,11 +331,105 @@ JsonRecord run_degradation_soundness() {
   return row;
 }
 
+// ---------------------------------------------------------------------
+// 4. Single-request latency: warm pair queries vs warm deadlock queries.
+
+double percentile_us(std::vector<double> samples, double q) {
+  if (samples.empty()) return 0.0;
+  const std::size_t k = std::min(
+      samples.size() - 1,
+      static_cast<std::size_t>(q * static_cast<double>(samples.size())));
+  std::nth_element(samples.begin(), samples.begin() + k, samples.end());
+  return samples[k];
+}
+
+/// Times `request` `count` times, one at a time; returns microseconds.
+template <class Request>
+std::vector<double> time_each(std::size_t count, Request&& request) {
+  std::vector<double> us;
+  us.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    request(i);
+    us.push_back(std::chrono::duration<double, std::micro>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  return us;
+}
+
+JsonRecord run_single_request() {
+  const std::string path = unique_socket("single");
+  DaemonOptions options;
+  options.socket_path = path;
+  Daemon daemon(options);
+  daemon.start();
+
+  const Trace trace = bench_trace();
+  service::AnalysisSession direct(std::make_shared<const Trace>(trace));
+  const auto relations = direct.relations(Semantics::kCausal);
+  const bool can_deadlock = direct.deadlocks()->can_deadlock;
+  const std::size_t n = trace.num_events();
+
+  DaemonClient client(client_options(path));
+  EVORD_CHECK(client.register_trace(write_trace(trace)).ok(),
+              "single: registration failed");
+  // Warm both caches: the causal relations and the deadlock report.
+  PairQuerySpec warm;
+  EVORD_CHECK(client.pair_query(trace.fingerprint(), warm).ok(),
+              "single: cold pair query failed");
+  EVORD_CHECK(client.deadlock_query(trace.fingerprint()).ok(),
+              "single: cold deadlock query failed");
+  const std::uint64_t inline_before = daemon.stats().inline_hits;
+
+  constexpr std::size_t kRequests = 20'000;
+  const std::vector<double> pair_us = time_each(kRequests, [&](std::size_t i) {
+    PairQuerySpec spec;
+    spec.relation = static_cast<std::uint8_t>(i % kNumRelationKinds);
+    spec.a = static_cast<std::uint32_t>(i % n);
+    spec.b = static_cast<std::uint32_t>((i * 7 + 3) % n);
+    const auto reply = client.pair_query(trace.fingerprint(), spec);
+    EVORD_CHECK(reply.ok() &&
+                    reply.value ==
+                        relations->holds(
+                            static_cast<RelationKind>(spec.relation),
+                            spec.a, spec.b),
+                "single: warm pair query went wrong");
+  });
+  const std::uint64_t inline_hits =
+      daemon.stats().inline_hits - inline_before;
+  const std::vector<double> deadlock_us =
+      time_each(kRequests, [&](std::size_t) {
+        const auto reply = client.deadlock_query(trace.fingerprint());
+        EVORD_CHECK(reply.ok() && reply.value == can_deadlock,
+                    "single: warm deadlock query went wrong");
+      });
+  daemon.stop();
+
+  const double pair_p50 = percentile_us(pair_us, 0.5);
+  EVORD_CHECK(inline_hits == kRequests,
+              "single: a warm pair query missed the reader-thread path");
+  EVORD_CHECK(pair_p50 <= 30.0, "single: warm pair p50 " +
+                                    std::to_string(pair_p50) +
+                                    " us exceeds 30 us");
+
+  JsonRecord row;
+  row.add("experiment", std::string("daemon_single_request"));
+  row.add("requests", std::uint64_t{kRequests});
+  row.add("pair_p50_us", pair_p50);
+  row.add("pair_p99_us", percentile_us(pair_us, 0.99));
+  row.add("pair_inline_hits", inline_hits);
+  row.add("deadlock_p50_us", percentile_us(deadlock_us, 0.5));
+  row.add("deadlock_p99_us", percentile_us(deadlock_us, 0.99));
+  return row;
+}
+
 std::vector<JsonRecord> run_daemon_sweep() {
   std::vector<JsonRecord> rows;
   rows.push_back(run_overload_storm());
   rows.push_back(run_warm_overhead());
   rows.push_back(run_degradation_soundness());
+  rows.push_back(run_single_request());
   return rows;
 }
 

@@ -297,10 +297,17 @@ std::shared_ptr<Daemon::Tenant> Daemon::tenant_for(const std::string& name) {
 
 std::shared_ptr<service::AnalysisSession> Daemon::session_for(
     Connection& conn, std::uint64_t fingerprint) {
-  std::shared_ptr<const Trace> trace =
-      conn.tenant->registry.find(fingerprint);
+  service::TraceRegistry& registry = conn.tenant->registry;
+  // Look the session up first: registry.session() re-registers the
+  // trace, which would bump the register_trace() counters in
+  // RegistryStats and re-run the structural collision check on every
+  // query.
+  if (auto session = registry.find_session(fingerprint, options_.exact)) {
+    return session;
+  }
+  std::shared_ptr<const Trace> trace = registry.find(fingerprint);
   if (trace == nullptr) return nullptr;
-  return conn.tenant->registry.session(std::move(trace), options_.exact);
+  return registry.session(std::move(trace), options_.exact);
 }
 
 // ------------------------------------------------------------ admission
@@ -486,29 +493,49 @@ Frame Daemon::handle_frame(Connection& conn, const Frame& frame) {
                         "hello must be the first frame");
     }
     switch (type) {
-      case FrameType::kRegisterTrace:
       case FrameType::kPairQuery:
+        // A pair whose relations are already cached is a bit read:
+        // answer it right here on the reader thread, skipping the pool
+        // handoff.  Anything else (no session yet, relations not cached
+        // or still being computed) falls through to the pool.
+        if (std::optional<Frame> reply = cached_pair_reply(conn, frame)) {
+          std::lock_guard<std::mutex> lock(mu_);
+          ++stats_.requests_served;
+          ++stats_.inline_hits;
+          return std::move(*reply);
+        }
+        [[fallthrough]];
+      case FrameType::kRegisterTrace:
       case FrameType::kBatchQuery:
       case FrameType::kDeadlockQuery:
       case FrameType::kRaceQuery:
       case FrameType::kAnytimeQuery: {
-        // Execute on the bounded pool; the reader thread waits, so one
-        // connection has at most one request in the executor while the
-        // POOL bounds cross-connection compute concurrency.
+        // Everything that may compute runs on the bounded pool; the
+        // reader thread waits, so one connection has at most one request
+        // in the executor while the POOL bounds cross-connection compute
+        // concurrency.
         auto future = pool_.submit([this, &conn, &frame, type] {
-          switch (type) {
-            case FrameType::kRegisterTrace:
-              return handle_register(conn, frame);
-            case FrameType::kPairQuery:
-              return run_pair_query(conn, frame);
-            case FrameType::kBatchQuery:
-              return run_batch_query(conn, frame);
-            case FrameType::kDeadlockQuery:
-              return run_deadlock_query(conn, frame);
-            case FrameType::kRaceQuery:
-              return run_race_query(conn, frame);
-            default:
-              return run_anytime_query(conn, frame);
+          // Errors become replies here on the worker, so no exception
+          // object crosses the future (its shared ownership would be
+          // released across threads inside the runtime's exception
+          // refcount, which ThreadSanitizer cannot see).
+          try {
+            switch (type) {
+              case FrameType::kRegisterTrace:
+                return handle_register(conn, frame);
+              case FrameType::kPairQuery:
+                return run_pair_query(conn, frame);
+              case FrameType::kBatchQuery:
+                return run_batch_query(conn, frame);
+              case FrameType::kDeadlockQuery:
+                return run_deadlock_query(conn, frame);
+              case FrameType::kRaceQuery:
+                return run_race_query(conn, frame);
+              default:
+                return run_anytime_query(conn, frame);
+            }
+          } catch (...) {
+            return error_reply(frame);
           }
         });
         Frame reply = future.get();
@@ -527,6 +554,14 @@ Frame Daemon::handle_frame(Connection& conn, const Frame& frame) {
     return make_error(FrameType::kError, frame.request_id,
                       ErrorCode::kBadRequest,
                       "unknown request type " + std::to_string(frame.type));
+  } catch (...) {
+    return error_reply(frame);
+  }
+}
+
+Frame Daemon::error_reply(const Frame& frame) {
+  try {
+    throw;
   } catch (const ProtocolError& e) {
     // Payload-level garbage: the frame boundary held, so the connection
     // keeps serving after an explicit error reply.
@@ -609,23 +644,58 @@ Frame bool_ok(std::uint64_t request_id, bool value) {
   return make_frame(FrameType::kBoolOk, request_id, w.take());
 }
 
+/// A decoded kPairQuery payload; event ids are range-checked only once
+/// the trace is known (checked_pair).
+struct PairRequest {
+  std::uint64_t fingerprint = 0;
+  RelationKind relation = RelationKind::kMHB;
+  Semantics semantics = Semantics::kCausal;
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+};
+
+PairRequest decode_pair_query(const Frame& frame) {
+  WireReader r(frame.payload);
+  PairRequest req;
+  req.fingerprint = r.u64();
+  req.relation = checked_relation(r.u8());
+  req.semantics = checked_semantics(r.u8());
+  req.a = r.u32();
+  req.b = r.u32();
+  return req;
+}
+
+service::PairQuery checked_pair(const PairRequest& req, const Trace& trace) {
+  service::PairQuery q;
+  q.relation = req.relation;
+  q.semantics = req.semantics;
+  q.a = checked_event(req.a, trace);
+  q.b = checked_event(req.b, trace);
+  return q;
+}
+
 }  // namespace
 
+std::optional<Frame> Daemon::cached_pair_reply(Connection& conn,
+                                               const Frame& frame) {
+  const PairRequest req = decode_pair_query(frame);
+  const auto session =
+      conn.tenant->registry.find_session(req.fingerprint, options_.exact);
+  if (session == nullptr) return std::nullopt;
+  const std::optional<bool> value =
+      session->cached_pair_query(checked_pair(req, session->trace()));
+  if (!value.has_value()) return std::nullopt;
+  return bool_ok(frame.request_id, *value);
+}
+
 Frame Daemon::run_pair_query(Connection& conn, const Frame& frame) {
-  WireReader r(frame.payload);
-  const std::uint64_t fp = r.u64();
-  const RelationKind relation = checked_relation(r.u8());
-  const Semantics semantics = checked_semantics(r.u8());
-  const std::uint32_t a = r.u32();
-  const std::uint32_t b = r.u32();
-  auto session = session_for(conn, fp);
-  if (session == nullptr) return unknown_trace(frame.request_id, fp);
-  service::PairQuery q;
-  q.relation = relation;
-  q.semantics = semantics;
-  q.a = checked_event(a, session->trace());
-  q.b = checked_event(b, session->trace());
-  return bool_ok(frame.request_id, session->pair_query(q));
+  const PairRequest req = decode_pair_query(frame);
+  auto session = session_for(conn, req.fingerprint);
+  if (session == nullptr) {
+    return unknown_trace(frame.request_id, req.fingerprint);
+  }
+  return bool_ok(frame.request_id,
+                 session->pair_query(checked_pair(req, session->trace())));
 }
 
 Frame Daemon::run_batch_query(Connection& conn, const Frame& frame) {

@@ -5,8 +5,12 @@
 //
 //   * transport: Unix-domain socket (socket_path) and/or loopback TCP
 //     (tcp_port), length-prefixed versioned frames (protocol.hpp), one
-//     reader thread per connection, request execution on the shared
-//     bounded ThreadPool (util/thread_pool.hpp);
+//     reader thread per connection.  A kPairQuery whose relations are
+//     already cached is answered on the reader thread itself (an O(1)
+//     bit read); every other request, and every pair query that misses,
+//     runs on the shared bounded ThreadPool (util/thread_pool.hpp).  Both
+//     paths sit behind the same admission, in-flight accounting and
+//     drain rules;
 //   * tenancy: the first frame on every connection is kHello naming a
 //     tenant; each tenant gets its OWN TraceRegistry and ResultCache
 //     whose byte budget is an equal share of cache_budget_bytes,
@@ -41,6 +45,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -111,6 +116,10 @@ struct DaemonStats {
   std::uint64_t shutting_down_replies = 0;
   std::uint64_t deadline_degraded = 0; ///< deadline queries that truncated
   std::uint64_t breaker_trips = 0;
+  /// Of requests_served, pair queries answered from the cache on the
+  /// reader thread without a pool handoff (in-process only; not part of
+  /// the kHealthOk payload).
+  std::uint64_t inline_hits = 0;
 };
 
 class Daemon {
@@ -167,7 +176,13 @@ class Daemon {
   void serve_connection(int fd);
   /// Dispatches one request frame; returns the reply to send.
   Frame handle_frame(Connection& conn, const Frame& frame);
+  /// The error reply for the exception being handled; call only from a
+  /// catch block.  Rethrows anything that is not a std::exception.
+  Frame error_reply(const Frame& frame);
   Frame handle_register(Connection& conn, const Frame& frame);
+  /// The kBoolOk reply for a pair query whose session exists and whose
+  /// relations are cached; nullopt on any miss.  Never computes.
+  std::optional<Frame> cached_pair_reply(Connection& conn, const Frame& frame);
   Frame run_pair_query(Connection& conn, const Frame& frame);
   Frame run_batch_query(Connection& conn, const Frame& frame);
   Frame run_deadlock_query(Connection& conn, const Frame& frame);

@@ -821,6 +821,10 @@ class MemoizedSearch {
       }
     }
     if (completable) hooks_.on_completable_state(*this, depth);
+    // Once a stop is requested (or this walk truncated), a false may only
+    // mean "children cut short": storing it could collide with a sibling
+    // worker's true for the same state and poison the shared memo.
+    if (ctx_->stop_requested() || stats_.truncated) return completable;
     if (memo_->store(fp, completable, payload(depth))) {
       ++stats_.states_visited;
       ++stats_.depth_states[stepper_.num_executed()];

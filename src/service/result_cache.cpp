@@ -20,11 +20,12 @@ const char* to_string(QueryKind kind) {
   return "?";
 }
 
-std::shared_ptr<const void> ResultCache::get_erased(const CacheKey& key) {
+std::shared_ptr<const void> ResultCache::get_erased(const CacheKey& key,
+                                                    bool count_miss) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
+    if (count_miss) ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;

@@ -106,7 +106,15 @@ class ResultCache {
   /// (see QueryKind).  A hit moves the entry to most-recently-used.
   template <class T>
   std::shared_ptr<const T> get(const CacheKey& key) {
-    return std::static_pointer_cast<const T>(get_erased(key));
+    return std::static_pointer_cast<const T>(get_erased(key, true));
+  }
+
+  /// Like get(), but a miss is NOT counted: for a fast path that falls
+  /// back to get() on a miss, so each miss is counted once.  A hit counts
+  /// and promotes exactly as get() does.
+  template <class T>
+  std::shared_ptr<const T> probe(const CacheKey& key) {
+    return std::static_pointer_cast<const T>(get_erased(key, false));
   }
 
   /// Inserts (or replaces) `key`, charging `approx_bytes`, then evicts
@@ -144,7 +152,8 @@ class ResultCache {
   /// Bookkeeping overhead charged per entry on top of the payload.
   static constexpr std::uint64_t kEntryOverheadBytes = 96;
 
-  std::shared_ptr<const void> get_erased(const CacheKey& key);
+  std::shared_ptr<const void> get_erased(const CacheKey& key,
+                                         bool count_miss);
   void put_erased(const CacheKey& key, std::shared_ptr<const void> value,
                   std::uint64_t approx_bytes);
   void evict_to_budget_locked();

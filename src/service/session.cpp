@@ -211,6 +211,19 @@ bool AnalysisSession::pair_query(const PairQuery& query) {
       ->holds(query.relation, query.a, query.b);
 }
 
+std::optional<bool> AnalysisSession::cached_pair_query(
+    const PairQuery& query) {
+  const auto relations = cache_->probe<OrderingRelations>(make_key(
+      QueryKind::kRelations, static_cast<std::uint8_t>(query.semantics), 0));
+  if (relations == nullptr) return std::nullopt;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.queries;
+    ++stats_.cache_hits;
+  }
+  return relations->holds(query.relation, query.a, query.b);
+}
+
 std::vector<bool> AnalysisSession::query_batch(
     const std::vector<PairQuery>& queries, BatchRouting routing) {
   std::unique_lock<std::mutex> lock(mu_);

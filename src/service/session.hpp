@@ -160,6 +160,12 @@ class AnalysisSession {
       Semantics semantics = Semantics::kCausal);
   /// One Table-1 pair answer via the (cached) relations sweep.
   bool pair_query(const PairQuery& query);
+  /// pair_query() when the relations are already cached, else nullopt.
+  /// Never computes and never waits on an in-flight sweep, so it is
+  /// O(1) on any thread.  A hit is counted exactly like a warm
+  /// pair_query() (one query, one cache hit); a miss counts nothing, so
+  /// the pair_query() a caller falls back to counts it once.
+  std::optional<bool> cached_pair_query(const PairQuery& query);
   /// Batched pair execution.  kExactSweep: N queries cost at most one
   /// relations sweep per DISTINCT semantics among them (at most three),
   /// every further answer being a bit read.  kOracleFirst: pairs go

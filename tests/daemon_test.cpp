@@ -170,6 +170,55 @@ TEST(Daemon, RoundTripsMatchDirectSession) {
   EXPECT_EQ(health.in_flight, 0u);
 }
 
+TEST(Daemon, WarmPairQueriesAnswerInlineOnTheReader) {
+  DaemonHarness harness;
+  DaemonClient client(harness.client_options());
+  const Trace trace = quickstart_trace();
+  const auto registered = client.register_trace(write_trace(trace));
+  ASSERT_TRUE(registered.ok()) << registered.message;
+  EXPECT_EQ(harness.daemon().stats().inline_hits, 0u);
+
+  service::AnalysisSession direct(std::make_shared<const Trace>(trace));
+  for (std::uint8_t sem = 0; sem < 3; ++sem) {
+    // The first query of a semantics computes its relations on the pool.
+    PairQuerySpec first;
+    first.semantics = sem;
+    first.a = 0;
+    first.b = 3;
+    std::uint64_t expected_hits = harness.daemon().stats().inline_hits;
+    ASSERT_TRUE(client.pair_query(registered.fingerprint, first).ok());
+    EXPECT_EQ(harness.daemon().stats().inline_hits, expected_hits);
+    // Every later query of that semantics is a cache hit on the reader.
+    for (std::uint8_t rel = 0; rel < kNumRelationKinds; ++rel) {
+      for (EventId a = 0; a < trace.num_events(); ++a) {
+        for (EventId b = 0; b < trace.num_events(); ++b) {
+          PairQuerySpec spec;
+          spec.relation = rel;
+          spec.semantics = sem;
+          spec.a = a;
+          spec.b = b;
+          const auto reply = client.pair_query(registered.fingerprint, spec);
+          ASSERT_TRUE(reply.ok()) << reply.message;
+          EXPECT_EQ(harness.daemon().stats().inline_hits, ++expected_hits);
+          service::PairQuery q;
+          q.relation = static_cast<RelationKind>(rel);
+          q.semantics = static_cast<Semantics>(sem);
+          q.a = a;
+          q.b = b;
+          EXPECT_EQ(reply.value, direct.pair_query(q))
+              << "relation " << int{rel} << " semantics " << int{sem}
+              << " pair " << a << "," << b;
+        }
+      }
+    }
+  }
+  // Inline answers are served requests like any other.
+  const auto health = client.health();
+  ASSERT_TRUE(health.ok());
+  EXPECT_GE(health.requests_served, harness.daemon().stats().inline_hits);
+  EXPECT_EQ(health.in_flight, 0u);
+}
+
 TEST(Daemon, RegisterDedupsByFingerprint) {
   DaemonHarness harness;
   DaemonClient client(harness.client_options());
@@ -508,6 +557,69 @@ TEST(Daemon, GracefulDrainFlushesInFlightReplies) {
   const auto post = late.deadlock_query(registered.fingerprint);
   EXPECT_NE(post.status, RequestStatus::kOk);
   
+}
+
+TEST(Daemon, WarmPairQueriesKeepQuotaAndDrainRules) {
+  const Trace trace = quickstart_trace();
+  PairQuerySpec q;
+  q.a = 0;
+  q.b = 3;
+  {
+    DaemonOptions options;
+    options.tenant_burst = 3;         // register + 2 queries
+    options.tenant_rate_per_sec = 0;  // no refill: deterministic
+    DaemonHarness harness(options);
+    DaemonClient client(harness.client_options());
+    const auto registered = client.register_trace(write_trace(trace));
+    ASSERT_TRUE(registered.ok());
+    ASSERT_TRUE(client.pair_query(registered.fingerprint, q).ok());  // cold
+    ASSERT_TRUE(client.pair_query(registered.fingerprint, q).ok());  // warm
+    EXPECT_EQ(harness.daemon().stats().inline_hits, 1u);
+    // Warm, but over quota: rejected before the cache is consulted.
+    const auto bounced = client.pair_query(registered.fingerprint, q);
+    EXPECT_EQ(bounced.status, RequestStatus::kRejected);
+    EXPECT_EQ(harness.daemon().stats().inline_hits, 1u);
+    const auto health = client.health();
+    ASSERT_TRUE(health.ok());
+    EXPECT_GE(health.rejections, 1u);
+    EXPECT_EQ(health.in_flight, 0u);
+  }
+
+  DaemonHarness harness;
+  DaemonClient stalled(harness.client_options());
+  DaemonClient late(harness.client_options());
+  const auto registered = stalled.register_trace(write_trace(trace));
+  ASSERT_TRUE(registered.ok());
+  ASSERT_TRUE(stalled.pair_query(registered.fingerprint, q).ok());  // cold
+  ASSERT_TRUE(late.pair_query(registered.fingerprint, q).ok());     // warm
+  ASSERT_EQ(harness.daemon().stats().inline_hits, 1u);
+
+  // Stall the daemon's reply to the next (warm, inline) query for 400 ms
+  // so it stays in flight, start the drain behind it, and send a second
+  // warm query from another connection while the drain waits.
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::kSlowLoris;
+  plan.threshold = 2;  // frame 1 = the request, frame 2 = its reply
+  plan.stall_micros = 400'000;
+  fault::ScopedFaultPlan scoped(plan);
+  daemon::BoolReply stalled_reply;
+  std::thread asker([&] {
+    stalled_reply = stalled.pair_query(registered.fingerprint, q);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  std::thread stopper([&] { harness.daemon().stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  const auto drained = late.pair_query(registered.fingerprint, q);
+  EXPECT_EQ(drained.status, RequestStatus::kShuttingDown)
+      << to_string(drained.status) << " " << drained.message;
+  stopper.join();
+  asker.join();
+  // stop() returned, so the admitted inline request drained (in_flight
+  // reached zero) and its reply was flushed.
+  ASSERT_TRUE(stalled_reply.ok()) << to_string(stalled_reply.status);
+  const daemon::DaemonStats stats = harness.daemon().stats();
+  EXPECT_EQ(stats.inline_hits, 2u);
+  EXPECT_GE(stats.shutting_down_replies, 1u);
 }
 
 // ------------------------------------------------------------ fault sweep

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -303,6 +304,53 @@ TEST(AnalysisSession, RepeatedQueriesArePureCacheHits) {
   EXPECT_EQ(again.computations, warm.computations);
   EXPECT_EQ(again.sweeps, warm.sweeps);
   EXPECT_EQ(again.cache_hits, warm.cache_hits + 9);
+}
+
+TEST(AnalysisSession, CachedPairQueryOnlyAnswersWarmRelations) {
+  AnalysisSession session(std::make_shared<const Trace>(wedgeable_trace()));
+  const PairQuery probe{RelationKind::kMHB, 0, 4, Semantics::kCausal};
+
+  // Cold: no answer, and nothing counted anywhere — the pair_query the
+  // caller falls back to counts the miss exactly once.
+  EXPECT_FALSE(session.cached_pair_query(probe).has_value());
+  const SessionStats cold = session.stats();
+  EXPECT_EQ(cold.queries, 0u);
+  EXPECT_EQ(cold.cache_hits, 0u);
+  EXPECT_EQ(cold.computations, 0u);
+  const CacheStats cold_cache = session.cache()->stats();
+  EXPECT_EQ(cold_cache.hits, 0u);
+  EXPECT_EQ(cold_cache.misses, 0u);
+  EXPECT_EQ(cold_cache.entries, 0u);
+  session.pair_query(probe);
+  EXPECT_EQ(session.cache()->stats().misses, 1u);
+
+  // Warm: equal to pair_query for every relation x semantics x pair,
+  // each hit counted as one query and one cache hit, nothing computed.
+  for (const Semantics s : kAllSemantics) session.relations(s);
+  const std::size_t n = session.trace().num_events();
+  for (std::uint8_t rel = 0; rel < kNumRelationKinds; ++rel) {
+    for (const Semantics s : kAllSemantics) {
+      for (EventId a = 0; a < n; ++a) {
+        for (EventId b = 0; b < n; ++b) {
+          const PairQuery q{static_cast<RelationKind>(rel), a, b, s};
+          const SessionStats before = session.stats();
+          const CacheStats cache_before = session.cache()->stats();
+          const std::optional<bool> cached = session.cached_pair_query(q);
+          ASSERT_TRUE(cached.has_value());
+          const SessionStats after = session.stats();
+          const CacheStats cache_after = session.cache()->stats();
+          EXPECT_EQ(after.queries, before.queries + 1);
+          EXPECT_EQ(after.cache_hits, before.cache_hits + 1);
+          EXPECT_EQ(after.computations, before.computations);
+          EXPECT_EQ(cache_after.hits, cache_before.hits + 1);
+          EXPECT_EQ(cache_after.misses, cache_before.misses);
+          EXPECT_EQ(*cached, session.pair_query(q))
+              << "relation " << int{rel} << " semantics "
+              << static_cast<int>(s) << " pair " << a << "," << b;
+        }
+      }
+    }
+  }
 }
 
 TEST(AnalysisSession, FeasibilityAfterCoexistenceHitsWarmMemo) {
