@@ -208,7 +208,10 @@ class CausalAccumulator {
     }
   }
 
-  void finish(OrderingRelations& r, Semantics semantics) const {
+  /// Reads the accumulated matrices under r.semantics (kCausal or
+  /// kInterval): the class enumeration is the same for both.
+  void finish(OrderingRelations& r) const {
+    const Semantics semantics = r.semantics;
     r.causal_classes = classes_;
     if (classes_ == 0) {
       fill_vacuous(r);
@@ -265,15 +268,37 @@ class CausalAccumulator {
   std::vector<std::uint64_t> scratch_words_;
 };
 
-OrderingRelations compute_causal_or_interval(const Trace& trace,
-                                             Semantics semantics,
-                                             const ExactOptions& options) {
-  OrderingRelations r = make_empty_result(trace, semantics);
+}  // namespace
+
+CausalIntervalRelations compute_causal_and_interval(
+    const Trace& trace, const ExactOptions& options) {
+  // The sweep-level fields (truncated, schedules_seen,
+  // deadlocked_prefixes, search) are filled once here and shared by
+  // both results; only the per-semantics readings of the accumulated
+  // matrices differ (CausalAccumulator::finish).
+  OrderingRelations r = make_empty_result(trace, Semantics::kCausal);
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
   search::ShardedFingerprintSet dedup;
   const std::size_t num_threads =
       search::resolve_num_threads(options.num_threads);
+  // One accumulator per worker slot (lock-free accepts: same-slot visits
+  // never overlap), class dedup shared through the sharded set, all
+  // budgets strict and global via the shared search context.
+  std::vector<CausalAccumulator> accs;
+  accs.reserve(num_threads);
+  for (std::size_t i = 0; i < num_threads; ++i) {
+    accs.emplace_back(trace, causal, dedup);
+  }
+  const auto accept = [&](const std::vector<EventId>& s) {
+    accs[0].accept(s);
+    return true;
+  };
+  const auto accept_slot = [&](std::size_t slot,
+                               const std::vector<EventId>& s) {
+    accs[slot].accept(s);
+    return true;
+  };
 
   if (options.class_dedup) {
     ClassEnumOptions co;
@@ -288,100 +313,55 @@ OrderingRelations compute_causal_or_interval(const Trace& trace,
     // charge it against the same byte budget as the prefix store.
     co.charge_store = &dedup;
     co.reduction = options.reduction;
-    if (num_threads <= 1) {
-      CausalAccumulator acc(trace, causal, dedup);
-      const ClassEnumStats stats = enumerate_causal_classes(
-          trace, co, [&](const std::vector<EventId>& s) {
-            acc.accept(s);
-            return true;
-          });
-      r.schedules_seen = stats.schedules_visited;
-      r.deadlocked_prefixes = stats.deadlocked_prefixes;
-      r.truncated = stats.truncated || stats.stopped_by_visitor;
-      r.search = stats.search;
-      r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-      acc.finish(r, semantics);
-      return r;
-    }
-    // Work-stealing parallel engine: one private accumulator per worker
-    // slot (lock-free accepts — same-slot visits never overlap), class
-    // dedup shared through the sharded set, all budgets strict and
-    // global via the shared search context.
-    std::vector<CausalAccumulator> accs;
-    accs.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-      accs.emplace_back(trace, causal, dedup);
-    }
-    const ClassEnumStats stats = enumerate_causal_classes_parallel(
-        trace, co, num_threads,
-        [&](std::size_t slot, const std::vector<EventId>& s) {
-          accs[slot].accept(s);
-          return true;
-        });
+    const ClassEnumStats stats =
+        num_threads <= 1
+            ? enumerate_causal_classes(trace, co, accept)
+            : enumerate_causal_classes_parallel(trace, co, num_threads,
+                                                accept_slot);
     r.schedules_seen = stats.schedules_visited;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated || stats.stopped_by_visitor;
     r.search = stats.search;
-    // The shared stores are authoritative for memo bytes: prefix-set
-    // bytes arrive via stats.search (set once from the set itself),
-    // and the class-dedup set is added here exactly once — never
-    // summed per worker.
-    r.search.memo_bytes += dedup.bytes();
-    for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
-    accs[0].finish(r, semantics);
-    return r;
-  }
-
-  EnumerateOptions eo;
-  eo.stepper.respect_dependences = options.respect_dependences;
-  eo.max_schedules = options.max_schedules;
-  eo.time_budget_seconds = options.time_budget_seconds;
-  eo.max_memory_bytes = options.max_memory_bytes;
-  eo.steal = options.steal;
-  eo.charge_store = &dedup;
-  if (num_threads <= 1) {
-    CausalAccumulator acc(trace, causal, dedup);
+  } else {
+    EnumerateOptions eo;
+    eo.stepper.respect_dependences = options.respect_dependences;
+    eo.max_schedules = options.max_schedules;
+    eo.time_budget_seconds = options.time_budget_seconds;
+    eo.max_memory_bytes = options.max_memory_bytes;
+    eo.steal = options.steal;
+    eo.charge_store = &dedup;
     const EnumerateStats stats =
-        enumerate_schedules(trace, eo, [&](const std::vector<EventId>& s) {
-          acc.accept(s);
-          return true;
-        });
+        num_threads <= 1
+            ? enumerate_schedules(trace, eo, accept)
+            : enumerate_schedules_parallel_indexed(trace, eo, accept_slot,
+                                                   num_threads);
     r.schedules_seen = stats.schedules;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;
     r.truncated = stats.truncated;
     r.search = stats.search;
-    r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-    acc.finish(r, semantics);
-    return r;
+    if (num_threads > 1 && r.search.shard_sizes.empty()) {
+      r.search.shard_sizes = dedup.shard_sizes();
+    }
   }
-  // Work-stealing parallel walk of the plain (non-prefix-dedup)
-  // enumerator; class-level dedup still runs through the shared sharded
-  // set, and the worker slot routes each schedule to a private
-  // accumulator.
-  std::vector<CausalAccumulator> accs;
-  accs.reserve(num_threads);
-  for (std::size_t i = 0; i < num_threads; ++i) {
-    accs.emplace_back(trace, causal, dedup);
-  }
-  const EnumerateStats stats = enumerate_schedules_parallel_indexed(
-      trace, eo,
-      [&](std::size_t slot, const std::vector<EventId>& s) {
-        accs[slot].accept(s);
-        return true;
-      },
-      num_threads);
-  r.schedules_seen = stats.schedules;
-  r.deadlocked_prefixes = stats.deadlocked_prefixes;
-  r.truncated = stats.truncated;
-  r.search = stats.search;
-  r.search.memo_bytes += dedup.bytes();  // class-dedup fingerprints
-  if (r.search.shard_sizes.empty()) r.search.shard_sizes = dedup.shard_sizes();
+  // The shared stores are authoritative for memo bytes: prefix-set bytes
+  // arrive via stats.search (set once from the set itself), and the
+  // class-dedup set is added here exactly once — never summed per worker.
+  r.search.memo_bytes += dedup.bytes();
   for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
-  accs[0].finish(r, semantics);
-  return r;
+
+  CausalIntervalRelations out{r, std::move(r)};
+  out.interval.semantics = Semantics::kInterval;
+  accs[0].finish(out.causal);
+  accs[0].finish(out.interval);
+  return out;
 }
 
-}  // namespace
+const OrderingRelations& CausalIntervalRelations::of(
+    Semantics semantics) const {
+  EVORD_CHECK(semantics != Semantics::kInterleaving,
+              "interleaving relations come from their own sweep");
+  return semantics == Semantics::kCausal ? causal : interval;
+}
 
 OrderingRelations compute_exact(const Trace& trace, Semantics semantics,
                                 const ExactOptions& options) {
@@ -389,8 +369,9 @@ OrderingRelations compute_exact(const Trace& trace, Semantics semantics,
     case Semantics::kInterleaving:
       return compute_interleaving(trace, options);
     case Semantics::kCausal:
+      return compute_causal_and_interval(trace, options).causal;
     case Semantics::kInterval:
-      return compute_causal_or_interval(trace, semantics, options);
+      return compute_causal_and_interval(trace, options).interval;
   }
   EVORD_CHECK(false, "unknown semantics");
 }

@@ -4,9 +4,12 @@
 // Interleaving semantics uses the memoized state-space engine (one pass,
 // no per-schedule work).  Causal and interval semantics enumerate
 // complete schedules, deduplicate them into causal classes and accumulate
-// per-class facts.  Both are exponential in the worst case — Theorems 1-4
-// say they must be, assuming P != NP — so budgets apply and results carry
-// a `truncated` flag.
+// per-class facts.  The interval reading only adds free timing to the
+// causal one, so both range over the same classes: ONE class enumeration
+// feeds one accumulator that finishes both results
+// (compute_causal_and_interval).  Both engines are exponential in the
+// worst case — Theorems 1-4 say they must be, assuming P != NP — so
+// budgets apply and results carry a `truncated` flag.
 #pragma once
 
 #include <cstdint>
@@ -91,7 +94,25 @@ struct ExactOptions {
   search::StealOptions steal;
 };
 
-/// Computes all six relations under the chosen semantics.
+/// Causal and interval relations from one causal-class enumeration.  The
+/// members share the sweep: truncated, schedules_seen, causal_classes,
+/// deadlocked_prefixes, feasible_empty and search are equal in both.
+struct CausalIntervalRelations {
+  OrderingRelations causal;
+  OrderingRelations interval;
+
+  /// The member for `semantics` (kCausal or kInterval; checked).
+  const OrderingRelations& of(Semantics semantics) const;
+  std::uint64_t approx_bytes() const {
+    return causal.approx_bytes() + interval.approx_bytes();
+  }
+};
+
+CausalIntervalRelations compute_causal_and_interval(
+    const Trace& trace, const ExactOptions& options = {});
+
+/// Computes all six relations under the chosen semantics (kCausal and
+/// kInterval return one member of compute_causal_and_interval).
 OrderingRelations compute_exact(const Trace& trace, Semantics semantics,
                                 const ExactOptions& options = {});
 

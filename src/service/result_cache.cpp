@@ -16,6 +16,8 @@ const char* to_string(QueryKind kind) {
       return "races";
     case QueryKind::kAnytimeVerdict:
       return "anytime-verdict";
+    case QueryKind::kCausalInterval:
+      return "causal-interval";
   }
   return "?";
 }

@@ -8,10 +8,11 @@
 //     trace fingerprint × query kind × semantics × options digest
 //
 // to an immutable, shared, type-erased result (OrderingRelations,
-// CanPrecedeResult, DeadlockReport, RaceReport, cached anytime
-// verdicts...).  Every entry charges its approximate resident bytes to
-// a per-cache MemoryAccountant (search/memory.hpp) and the cache evicts
-// least-recently-used entries until it is back under budget, so it
+// CausalIntervalRelations, CanPrecedeResult, DeadlockReport, RaceReport,
+// cached anytime verdicts...).  Every entry charges its approximate
+// resident bytes to a per-cache MemoryAccountant (search/memory.hpp)
+// and the cache evicts least-recently-used entries until it is back
+// under budget, so it
 // degrades instead of growing unboundedly — exactly the admission
 // contract the search core itself follows.  Evicted results stay alive
 // for whoever still holds their shared_ptr (sessions pin what they
@@ -36,7 +37,10 @@
 namespace evord::service {
 
 /// What a cache entry answers.  The value type per kind:
-///   kRelations      -> OrderingRelations       (exact Table-1 matrices)
+///   kRelations      -> OrderingRelations       (interleaving Table-1
+///                      matrices)
+///   kCausalInterval -> CausalIntervalRelations (causal AND interval
+///                      matrices from one class sweep; no semantics byte)
 ///   kFeasible       -> CanPrecedeResult        (verdict-only, no matrices)
 ///   kCoexist        -> CanPrecedeResult        (with can_coexist built)
 ///   kDeadlock       -> DeadlockReport
@@ -50,6 +54,7 @@ enum class QueryKind : std::uint8_t {
   kDeadlock = 3,
   kRaces = 4,
   kAnytimeVerdict = 5,
+  kCausalInterval = 6,
 };
 
 const char* to_string(QueryKind kind);

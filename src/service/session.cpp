@@ -25,6 +25,17 @@ std::uint64_t double_bits(double value) {
   return bits;
 }
 
+/// coalesced_query's view of a result's sweep (truncated flag and
+/// SearchStats): the fused causal/interval entry shares one between its
+/// members.
+template <class T>
+const T& sweep_of(const T& result) {
+  return result;
+}
+const OrderingRelations& sweep_of(const CausalIntervalRelations& result) {
+  return result.causal;
+}
+
 std::uint64_t verdict_approx_bytes(const CachedVerdict& cached) {
   std::uint64_t bytes = sizeof(CachedVerdict) +
                         cached.verdict.provenance.engine.capacity();
@@ -163,9 +174,11 @@ std::shared_ptr<const T> AnalysisSession::coalesced_query(
     lock.lock();
     ++stats_.computations;
     if (counts_sweep) ++stats_.sweeps;
-    if (counts_states) stats_.states_explored += result.search.states_visited;
+    if (counts_states) {
+      stats_.states_explored += sweep_of(result).search.states_visited;
+    }
     const std::uint64_t bytes = result.approx_bytes();
-    if (result.truncated) {
+    if (sweep_of(result).truncated) {
       // Never cached (budget-dependent noise), but still shared with the
       // threads that coalesced onto this computation.
       stored = std::make_shared<const T>(std::move(result));
@@ -190,11 +203,20 @@ std::shared_ptr<const T> AnalysisSession::coalesced_query(
 
 std::shared_ptr<const OrderingRelations> AnalysisSession::relations_coalesced(
     std::unique_lock<std::mutex>& lock, Semantics semantics) {
-  const CacheKey key = make_key(QueryKind::kRelations,
-                                static_cast<std::uint8_t>(semantics), 0);
-  return coalesced_query<OrderingRelations>(
-      lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true,
-      [&] { return compute_exact(*trace_, semantics, options_); });
+  if (semantics == Semantics::kInterleaving) {
+    const CacheKey key = make_key(QueryKind::kRelations,
+                                  static_cast<std::uint8_t>(semantics), 0);
+    return coalesced_query<OrderingRelations>(
+        lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true,
+        [&] { return compute_exact(*trace_, semantics, options_); });
+  }
+  // Causal and interval share one entry and one in-flight claim (one
+  // class sweep finishes both): hand out an aliasing pointer into it.
+  const auto both = coalesced_query<CausalIntervalRelations>(
+      lock, make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0),
+      /*serialize_memo=*/false, /*counts_sweep=*/true,
+      [&] { return compute_causal_and_interval(*trace_, options_); });
+  return {both, &both->of(semantics)};
 }
 
 std::shared_ptr<const OrderingRelations> AnalysisSession::relations(
@@ -213,15 +235,23 @@ bool AnalysisSession::pair_query(const PairQuery& query) {
 
 std::optional<bool> AnalysisSession::cached_pair_query(
     const PairQuery& query) {
-  const auto relations = cache_->probe<OrderingRelations>(make_key(
-      QueryKind::kRelations, static_cast<std::uint8_t>(query.semantics), 0));
-  if (relations == nullptr) return std::nullopt;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.queries;
-    ++stats_.cache_hits;
+  std::optional<bool> answer;
+  if (query.semantics == Semantics::kInterleaving) {
+    const auto relations = cache_->probe<OrderingRelations>(
+        make_key(QueryKind::kRelations,
+                 static_cast<std::uint8_t>(query.semantics), 0));
+    if (relations == nullptr) return std::nullopt;
+    answer = relations->holds(query.relation, query.a, query.b);
+  } else {
+    const auto both = cache_->probe<CausalIntervalRelations>(
+        make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0));
+    if (both == nullptr) return std::nullopt;
+    answer = both->of(query.semantics).holds(query.relation, query.a, query.b);
   }
-  return relations->holds(query.relation, query.a, query.b);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.queries;
+  ++stats_.cache_hits;
+  return answer;
 }
 
 std::vector<bool> AnalysisSession::query_batch(
@@ -263,9 +293,9 @@ std::vector<bool> AnalysisSession::query_batch(
     pending.resize(queries.size());
     for (std::size_t i = 0; i < queries.size(); ++i) pending[i] = i;
   }
-  // One sweep per DISTINCT semantics among the remaining pairs (at most
-  // three); every answer after that is a bit read out of the shared
-  // matrices.
+  // One sweep for interleaving pairs and one class sweep shared by causal
+  // and interval pairs (at most two); every answer after that is a bit
+  // read out of the shared matrices.
   std::array<std::shared_ptr<const OrderingRelations>, 3> per_semantics;
   for (const std::size_t i : pending) {
     const PairQuery& q = queries[i];
@@ -366,46 +396,31 @@ std::shared_ptr<const RaceReport> AnalysisSession::races(
   const CacheKey key =
       make_key(QueryKind::kRaces, CacheKey::kNoSemantics,
                hash_mix(kRaceSalt, static_cast<std::uint64_t>(detector), 0));
-  if (detector == RaceDetector::kExact) {
-    // Share the sweep with relations(): exact races are bit reads over
-    // the race-semantics CCW matrix, so the report's compute path
-    // obtains those relations THROUGH the relations cache.  When the
-    // session's own options already use race semantics
-    // (causal_data_edges = false) that inner key IS the relations() key
-    // and the two queries cost ONE sweep between them; otherwise the
-    // race-semantics relations get their own cached entry, computed
-    // once however many times races() is called.  The derived report
-    // embeds the relations' SearchStats verbatim (counts_states = false
-    // keeps states_explored single-counted), and a truncated sweep
-    // makes a truncated — never cached — report, so the next caller
-    // re-derives from a possibly-by-then-complete sweep.
+  if (detector == RaceDetector::kExact && !options_.causal_data_edges) {
+    // Exact races are bit reads over the race-semantics CCW matrix, and
+    // the session's own options already use race semantics: the report
+    // reads the relations() entry, so the two queries cost ONE sweep
+    // between them.  The report embeds the relations' SearchStats
+    // verbatim, so it counts neither the sweep nor its states again.  A
+    // truncated sweep makes a truncated — never cached — report.
     return coalesced_query<RaceReport>(
         lock, key, /*serialize_memo=*/false, /*counts_sweep=*/false,
         [&] {
           // Runs with mu_ RELEASED (coalesced_query's contract), so the
           // nested relations lookup takes it afresh — itself coalesced,
           // and dropped again before the derivation's bit reads.
-          ExactOptions race_options = options_;
-          race_options.causal_data_edges = false;
-          CacheKey rel_key;
-          rel_key.trace_fingerprint = fingerprint_;
-          rel_key.kind = QueryKind::kRelations;
-          rel_key.semantics = static_cast<std::uint8_t>(Semantics::kCausal);
-          rel_key.options_digest = digest_options(race_options);
           std::unique_lock<std::mutex> inner(mu_);
-          auto rel = coalesced_query<OrderingRelations>(
-              inner, rel_key, /*serialize_memo=*/false,
-              /*counts_sweep=*/true, [&] {
-                return compute_exact(*trace_, Semantics::kCausal,
-                                     race_options);
-              });
+          const auto rel = relations_coalesced(inner, Semantics::kCausal);
           inner.unlock();
           return races_from_relations(*trace_, *rel);
         },
         /*counts_states=*/false);
   }
+  // Otherwise no other query reads the race-semantics relations, so an
+  // exact report runs its own sweep and keeps only the (cached) report.
   return coalesced_query<RaceReport>(
-      lock, key, /*serialize_memo=*/false, /*counts_sweep=*/false,
+      lock, key, /*serialize_memo=*/false,
+      /*counts_sweep=*/detector == RaceDetector::kExact,
       [&] { return detect_races(*trace_, detector, options_); });
 }
 

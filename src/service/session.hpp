@@ -15,8 +15,9 @@
 //     completability memo (make_feasibility_memo) that feasibility and
 //     coexistence sweeps share, so a feasibility query after a coexist
 //     sweep answers from the root memo hit;
-//   * N pair queries coalesce into at most one relations sweep per
-//     distinct semantics (query_batch) instead of N;
+//   * N pair queries coalesce into at most two sweeps (query_batch)
+//     instead of N: one for interleaving pairs and one causal-class
+//     sweep whose cached entry answers both causal and interval pairs;
 //   * anytime verdicts are cached WITH the digest of the ladder that
 //     produced them: a definitive verdict (proven/refuted) is final and
 //     served to every caller, an `unknown` is recomputed — and replaced
@@ -123,8 +124,9 @@ struct SessionStats {
 
 /// How query_batch executes its pairs.
 enum class BatchRouting : std::uint8_t {
-  /// One cached relations sweep per distinct semantics, then bit reads
-  /// (the historic — and default — path; exact-complete answers).
+  /// At most two cached sweeps (interleaving; causal + interval), then
+  /// bit reads (the historic — and default — path; exact-complete
+  /// answers).
   kExactSweep = 0,
   /// Route every pair through the session's warm incremental SAT oracle
   /// first (one assumption-based solve per undecided pair, learned
@@ -167,10 +169,11 @@ class AnalysisSession {
   /// the pair_query() a caller falls back to counts it once.
   std::optional<bool> cached_pair_query(const PairQuery& query);
   /// Batched pair execution.  kExactSweep: N queries cost at most one
-  /// relations sweep per DISTINCT semantics among them (at most three),
-  /// every further answer being a bit read.  kOracleFirst: pairs go
-  /// through the session's warm SAT oracle (shared incremental solver)
-  /// and only oracle-unknown pairs pay for a sweep.
+  /// interleaving sweep plus one class sweep shared by causal and
+  /// interval pairs (at most two), every further answer being a bit
+  /// read.  kOracleFirst: pairs go through the session's warm SAT oracle
+  /// (shared incremental solver) and only oracle-unknown pairs pay for a
+  /// sweep.
   std::vector<bool> query_batch(const std::vector<PairQuery>& queries,
                                 BatchRouting routing = BatchRouting::kExactSweep);
 
@@ -193,13 +196,13 @@ class AnalysisSession {
   std::shared_ptr<const DeadlockReport> deadlocks();
 
   /// Cached per detector (the historic OrderingAnalyzer::races()
-  /// recomputed the analysis every call).  kExact additionally SHARES
-  /// its sweep with relations(): the race-semantics relations are
-  /// obtained through the relations cache (one exponential sweep, hit
-  /// when the session's own options already use race semantics) and the
-  /// report is derived from their CCW matrix by pure bit reads; a
-  /// truncated sweep yields a truncated — and therefore never-cached —
-  /// report.
+  /// recomputed the analysis every call).  kExact derives the report
+  /// from the race-semantics (causal_data_edges = false) CCW matrix by
+  /// pure bit reads.  When the session's own options already use race
+  /// semantics it SHARES the sweep with relations() (one exponential
+  /// sweep between them); otherwise its sweep is not kept, since only
+  /// the cached report reads it.  A truncated sweep yields a truncated —
+  /// and therefore never-cached — report.
   std::shared_ptr<const RaceReport> races(
       RaceDetector detector = RaceDetector::kExact);
 
@@ -264,7 +267,8 @@ class AnalysisSession {
   /// when it touches the shared warm memo — then relock, account stats,
   /// cache (unless truncated) and wake the waiters.  `counts_sweep`
   /// feeds SessionStats::sweeps.  T must expose .search.states_visited,
-  /// .truncated and .approx_bytes() (all four engine result types do).
+  /// .truncated and .approx_bytes() (all four engine result types do;
+  /// CausalIntervalRelations reads the first two off its causal member).
   /// `counts_states` = false for results DERIVED from another cached
   /// result (they embed the source's SearchStats, which the source's
   /// computation already charged to states_explored).
@@ -274,6 +278,7 @@ class AnalysisSession {
       bool serialize_memo, bool counts_sweep, Compute&& compute,
       bool counts_states = true);
 
+  /// Causal and interval results alias into one kCausalInterval entry.
   std::shared_ptr<const OrderingRelations> relations_coalesced(
       std::unique_lock<std::mutex>& lock, Semantics semantics);
   std::shared_ptr<const CanPrecedeResult> feasibility_coalesced(

@@ -424,6 +424,120 @@ TEST(AnalysisSession, QueryBatchCoalescesSweeps) {
   }
 }
 
+TEST(AnalysisSession, IntervalAfterCausalSharesOneClassSweep) {
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  const auto causal = session.relations(Semantics::kCausal);
+  const SessionStats warm = session.stats();
+  EXPECT_EQ(warm.sweeps, 1u);
+  EXPECT_GT(warm.states_explored, 0u);
+  // Interval semantics ranges over the same causal classes: its
+  // relations come out of the sweep causal already paid for.
+  const auto interval = session.relations(Semantics::kInterval);
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.sweeps, 1u);
+  EXPECT_EQ(after.computations, warm.computations);
+  EXPECT_EQ(after.states_explored, warm.states_explored);
+  EXPECT_EQ(after.cache_hits, warm.cache_hits + 1);
+  expect_same_relations(*causal,
+                        compute_exact(trace, Semantics::kCausal, {}));
+  expect_same_relations(*interval,
+                        compute_exact(trace, Semantics::kInterval, {}));
+  // ... and the cache-only fast path hits for interval pairs.
+  const std::size_t n = trace.num_events();
+  for (std::uint8_t rel = 0; rel < kNumRelationKinds; ++rel) {
+    for (EventId a = 0; a < n; ++a) {
+      for (EventId b = 0; b < n; ++b) {
+        const PairQuery q{static_cast<RelationKind>(rel), a, b,
+                          Semantics::kInterval};
+        const std::optional<bool> cached = session.cached_pair_query(q);
+        ASSERT_TRUE(cached.has_value());
+        EXPECT_EQ(*cached, interval->holds(q.relation, a, b));
+      }
+    }
+  }
+  EXPECT_EQ(session.stats().sweeps, 1u);
+}
+
+TEST(AnalysisSession, ThreeSemanticsBatchRunsTwoSweeps) {
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  std::vector<PairQuery> queries;
+  const EventId n = static_cast<EventId>(trace.num_events());
+  for (EventId a = 0; a < n; ++a) {
+    for (EventId b = 0; b < n; ++b) {
+      for (const Semantics s : kAllSemantics) {
+        queries.push_back({RelationKind::kCHB, a, b, s});
+        queries.push_back({RelationKind::kMCW, a, b, s});
+      }
+    }
+  }
+  const std::vector<bool> answers = session.query_batch(queries);
+  // One interleaving sweep plus one class sweep for causal + interval.
+  EXPECT_EQ(session.stats().sweeps, 2u);
+  EXPECT_EQ(session.stats().computations, 2u);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const PairQuery& q = queries[i];
+    EXPECT_EQ(answers[i], compute_exact(trace, q.semantics, {})
+                              .holds(q.relation, q.a, q.b))
+        << "query " << i;
+  }
+}
+
+TEST(AnalysisSession, TruncatedClassSweepCachesNeitherSemantics) {
+  ExactOptions starved;
+  starved.max_schedules = 1;
+  AnalysisSession session(std::make_shared<const Trace>(wedgeable_trace()),
+                          starved);
+  const auto causal = session.relations(Semantics::kCausal);
+  ASSERT_TRUE(causal->truncated);
+  EXPECT_EQ(session.cache()->stats().entries, 0u);
+  for (const Semantics s : {Semantics::kCausal, Semantics::kInterval}) {
+    EXPECT_FALSE(
+        session.cached_pair_query({RelationKind::kMHB, 0, 4, s}).has_value());
+  }
+  // The interval request recomputes the class sweep — also truncated,
+  // also not cached.
+  const SessionStats warm = session.stats();
+  const auto interval = session.relations(Semantics::kInterval);
+  EXPECT_TRUE(interval->truncated);
+  EXPECT_EQ(session.stats().computations, warm.computations + 1);
+  EXPECT_EQ(session.cache()->stats().entries, 0u);
+}
+
+TEST(AnalysisSession, WarmMemoNeverAbsorbsTruncatedValues) {
+  // The session's serial, unreduced feasibility and coexistence sweeps
+  // share its warm completability memo (reduction = kOff keeps the
+  // whole session unreduced).  A budget-truncated coexistence sweep
+  // fills it partially; the feasibility sweep that then reads it must
+  // either say it was truncated or agree with an unbudgeted run.
+  std::uint64_t definitive_after_truncation = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    testing::RandomTraceConfig config;
+    config.num_events = 12;
+    config.num_event_vars = seed % 3;
+    const Trace trace = testing::random_trace(config, rng);
+    const CanPrecedeResult reference = compute_feasibility(trace, {});
+    ASSERT_FALSE(reference.truncated);
+    for (const std::size_t max_states : {1u, 2u, 3u, 5u, 8u, 13u, 21u}) {
+      ExactOptions tiny;
+      tiny.reduction = search::ReductionMode::kOff;
+      tiny.max_states = max_states;
+      AnalysisSession session(std::make_shared<const Trace>(trace), tiny);
+      const auto coexist = session.coexistence();
+      const auto feasible = session.feasibility();
+      if (feasible->truncated) continue;
+      EXPECT_EQ(feasible->feasible_nonempty, reference.feasible_nonempty)
+          << "seed " << seed << " max_states " << max_states
+          << (coexist->truncated ? " after a truncated coexistence" : "");
+      if (coexist->truncated) ++definitive_after_truncation;
+    }
+  }
+  // The sweep above must actually read a partially filled memo.
+  EXPECT_GT(definitive_after_truncation, 0u);
+}
+
 // ------------------------------------------------- in-flight coalescing
 
 TEST(ServiceCoalescing, ConcurrentIdenticalQueriesShareOneSweep) {
@@ -460,6 +574,43 @@ TEST(ServiceCoalescing, ConcurrentIdenticalQueriesShareOneSweep) {
   EXPECT_EQ(stats.states_explored, one_sweep_states);
   EXPECT_EQ(stats.cache_hits, static_cast<std::uint64_t>(kThreads - 1));
   EXPECT_LE(stats.coalesced, static_cast<std::uint64_t>(kThreads - 1));
+}
+
+TEST(ServiceCoalescing, CausalAndIntervalRequestsShareOneClassSweep) {
+  const Trace trace = wedgeable_trace();
+  AnalysisSession baseline(std::make_shared<const Trace>(trace));
+  baseline.relations(Semantics::kCausal);
+  const std::uint64_t one_sweep_states = baseline.stats().states_explored;
+
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const OrderingRelations>> results(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&session, &results, i] {
+        results[static_cast<std::size_t>(i)] = session.relations(
+            i % 2 == 0 ? Semantics::kCausal : Semantics::kInterval);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  // Causal and interval requests coalesce onto ONE class sweep.
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.computations, 1u);
+  EXPECT_EQ(stats.sweeps, 1u);
+  EXPECT_EQ(stats.states_explored, one_sweep_states);
+  EXPECT_EQ(stats.cache_hits, static_cast<std::uint64_t>(kThreads - 1));
+  for (int i = 0; i < kThreads; ++i) {
+    const auto& r = results[static_cast<std::size_t>(i)];
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(r.get(), results[static_cast<std::size_t>(i % 2)].get());
+  }
+  expect_same_relations(*results[0],
+                        compute_exact(trace, Semantics::kCausal, {}));
+  expect_same_relations(*results[1],
+                        compute_exact(trace, Semantics::kInterval, {}));
 }
 
 TEST(ServiceCoalescing, DistinctQueriesOverlapSafely) {
