@@ -14,7 +14,9 @@
 //      per query, each paying its own sweep — and (b) as one
 //      query_batch through a session, which coalesces them into at most
 //      two sweeps: interleaving, and one class sweep shared by causal
-//      and interval.  Rows record both wall times and the sweep counts.
+//      and interval.  An exact-race report after the batch reads the
+//      race bits of that class sweep, so the total stays at two.  Rows
+//      record the wall times and the sweep counts.
 //
 //   3. Hit ratio.  The shared-cache stats after a mixed query workload
 //      repeated through a TraceRegistry session, the service-level
@@ -143,10 +145,20 @@ JsonRecord run_batch_vs_singles(const std::string& workload,
   const double batch_ms = ms_since(batch_timer);
   const std::uint64_t batch_sweeps = session.stats().sweeps;
 
+  // (c) The exact-race report after the batch reads the race bits its
+  // class sweep carried: still two sweeps in total.
+  Timer races_timer;
+  session.races(RaceDetector::kExact);
+  const double races_ms = ms_since(races_timer);
+  const std::uint64_t total_sweeps = session.stats().sweeps;
+
   EVORD_CHECK(singles == batched,
               workload << ": batched answers diverge from singles");
   EVORD_CHECK(batch_sweeps <= 2,
               workload << ": batch ran " << batch_sweeps << " sweeps");
+  EVORD_CHECK(total_sweeps <= 2,
+              workload << ": batch + exact races ran " << total_sweeps
+                       << " sweeps");
   return JsonRecord{}
       .add("engine", std::string("service"))
       .add("variant", std::string("batch_vs_singles"))
@@ -156,6 +168,8 @@ JsonRecord run_batch_vs_singles(const std::string& workload,
       .add("singles_sweeps", singles_sweeps)
       .add("batch_ms", batch_ms)
       .add("batch_sweeps", batch_sweeps)
+      .add("races_ms", races_ms)
+      .add("batch_races_sweeps", total_sweeps)
       .add("speedup", batch_ms > 0.0 ? singles_ms / batch_ms : 0.0);
 }
 

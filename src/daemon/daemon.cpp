@@ -30,7 +30,7 @@ void set_io_timeouts(int fd, int millis) {
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   // The send side needs the same bound: a peer that floods requests but
   // never reads replies would otherwise park the reader thread in
-  // send_all() forever with in_flight_ > 0, wedging stop()'s drain.  A
+  // send_all() forever with unsent_replies_ > 0, wedging stop()'s drain.  A
   // timed-out send fails write_frame, which drops the connection like
   // any other dead peer.
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
@@ -157,7 +157,7 @@ void Daemon::stop() {
   // flushed before we touch any connection.
   {
     std::unique_lock<std::mutex> lock(mu_);
-    drained_cv_.wait(lock, [this] { return in_flight_ == 0; });
+    drained_cv_.wait(lock, [this] { return unsent_replies_ == 0; });
   }
   pool_.shutdown();
   // Phase 3 — sever and join.  shutdown(2) wakes readers blocked in
@@ -345,6 +345,7 @@ bool Daemon::admit(Connection& conn, const Frame& frame, Frame& reply) {
       shed = true;
     } else {
       ++in_flight_;
+      ++unsent_replies_;
       in_flight_bytes_ += frame.payload.size();
     }
   }
@@ -423,14 +424,20 @@ void Daemon::serve_connection(int fd) {
     } else {
       reply = handle_frame(conn, frame);
     }
+    if (admitted) {
+      // Answered: the request leaves the overload watermarks (and
+      // health's in_flight) BEFORE its reply goes out, so a client that
+      // has read the reply never sees its own request still counted.
+      // Drain waits on unsent_replies_, released after the write.
+      std::lock_guard<std::mutex> lock(mu_);
+      --in_flight_;
+      in_flight_bytes_ -= frame.payload.size();
+    }
     const bool sent = write_frame(fd, reply);
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (sent) ++stats_.replies_sent;
-      if (admitted) {
-        --in_flight_;
-        in_flight_bytes_ -= frame.payload.size();
-      }
+      if (admitted) --unsent_replies_;
     }
     if (admitted) drained_cv_.notify_all();
     if (!sent) break;

@@ -225,10 +225,13 @@ class Daemon {
   std::vector<std::thread> finished_threads_;
   std::vector<int> conn_fds_;        ///< open connection sockets
   std::size_t live_connections_ = 0;
-  /// Admitted-but-not-yet-replied requests and their payload bytes (the
-  /// overload watermarks; also what drain waits on).
+  /// Admitted-but-not-yet-answered requests and their payload bytes
+  /// (the overload watermarks and health's in_flight).
   std::size_t in_flight_ = 0;
   std::uint64_t in_flight_bytes_ = 0;
+  /// Admitted requests whose reply is not yet written (what drain waits
+  /// on; at least in_flight_).
+  std::size_t unsent_replies_ = 0;
   bool stop_requested_ = false;
 
   std::atomic<bool> running_{false};

@@ -1,5 +1,6 @@
 #include "ordering/exact.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "feasible/enumerate.hpp"
@@ -100,6 +101,40 @@ OrderingRelations compute_interleaving(const Trace& trace,
   return r;
 }
 
+/// Fingerprint seeds of the two class kinds sharing one dedup set: the
+/// classes of the requested causal order and the synchronization-only
+/// classes a fused sweep enumerates.
+constexpr std::uint64_t kFullClassSeed = DynamicBitset::kHashSeed;
+constexpr std::uint64_t kSyncClassSeed =
+    DynamicBitset::kHashSeed ^ 0x5ca1ab1eull;
+
+/// Records the class of closure `tc` in `dedup`; true iff it is new.
+/// Deduplicates on a chained 64-bit hash of the closure rows: O(1) space
+/// per class instead of an n²/8-byte string.  Debug builds keep the rows
+/// and verify hash-equal classes really are equal.
+bool insert_class(const TransitiveClosure& tc, std::uint64_t seed,
+                  search::ShardedFingerprintSet& dedup) {
+  const std::size_t n = tc.num_nodes();
+  std::uint64_t fingerprint = seed;
+  for (EventId a = 0; a < n; ++a) {
+    fingerprint = tc.descendants(a).hash_words(fingerprint);
+  }
+  const std::vector<std::uint64_t>* verify_payload = nullptr;
+#ifndef NDEBUG
+  std::vector<std::uint64_t> closure_words;
+  if (dedup.verify_collisions()) {
+    for (EventId a = 0; a < n; ++a) {
+      const DynamicBitset& row = tc.descendants(a);
+      for (std::size_t w = 0; w < row.word_count(); ++w) {
+        closure_words.push_back(row.word(w));
+      }
+    }
+    verify_payload = &closure_words;
+  }
+#endif
+  return dedup.insert(fingerprint, verify_payload);
+}
+
 /// Per-causal-class accumulator for the causal and interval semantics.
 /// In parallel mode each worker slot gets a private accumulator (visits
 /// with the same slot never overlap); they all share one sharded
@@ -133,27 +168,7 @@ class CausalAccumulator {
 
   void accept(const std::vector<EventId>& schedule) {
     const TransitiveClosure tc = causal_closure(trace_, schedule, causal_);
-    // Deduplicate on a chained 64-bit hash of the closure rows: O(1)
-    // space per class instead of an n²/8-byte string.  Debug builds keep
-    // the rows and verify hash-equal classes really are equal.
-    std::uint64_t fingerprint = DynamicBitset::kHashSeed;
-    for (EventId a = 0; a < n_; ++a) {
-      fingerprint = tc.descendants(a).hash_words(fingerprint);
-    }
-    const std::vector<std::uint64_t>* verify_payload = nullptr;
-#ifndef NDEBUG
-    std::vector<std::uint64_t> closure_words;
-    if (dedup_->verify_collisions()) {
-      for (EventId a = 0; a < n_; ++a) {
-        const DynamicBitset& row = tc.descendants(a);
-        for (std::size_t w = 0; w < row.word_count(); ++w) {
-          closure_words.push_back(row.word(w));
-        }
-      }
-      verify_payload = &closure_words;
-    }
-#endif
-    if (!dedup_->insert(fingerprint, verify_payload)) return;
+    if (!insert_class(tc, kFullClassSeed, *dedup_)) return;
     ++classes_;
 
     // Closure transpose, once per class: anc_[b] = { a : a -> b },
@@ -206,6 +221,16 @@ class CausalAccumulator {
       all_incomp_.row(a) &= o.all_incomp_.row(a);
       any_notrev_.row(a) |= o.any_notrev_.row(a);
     }
+  }
+
+  /// The CCW bit of each pair: incomparable in some class.
+  DynamicBitset concurrent_pairs(
+      const std::vector<DependenceEdge>& pairs) const {
+    DynamicBitset bits(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      if (any_incomp_.row(pairs[i].first).test(pairs[i].second)) bits.set(i);
+    }
+    return bits;
   }
 
   /// Reads the accumulated matrices under r.semantics (kCausal or
@@ -268,7 +293,65 @@ class CausalAccumulator {
   std::vector<std::uint64_t> scratch_words_;
 };
 
+/// The race reading of a sweep over the synchronization-only order: per
+/// candidate pair, "incomparable in some synchronization class".  Like
+/// CausalAccumulator it keeps one instance per worker slot over a shared
+/// dedup set.  accept() reports whether the schedule opened a new class:
+/// the gate for the full-closure accumulator, since with schedule-
+/// invariant data edges the same synchronization class implies the same
+/// full class.
+class RaceAccumulator {
+ public:
+  RaceAccumulator(const Trace& trace,
+                  const std::vector<DependenceEdge>& pairs,
+                  search::ShardedFingerprintSet& dedup)
+      : trace_(trace), pairs_(&pairs), dedup_(&dedup),
+        racing_(pairs.size()) {}
+
+  bool accept(const std::vector<EventId>& schedule) {
+    const TransitiveClosure tc =
+        causal_closure(trace_, schedule, {.include_data_edges = false});
+    if (!insert_class(tc, kSyncClassSeed, *dedup_)) return false;
+    for (std::size_t i = 0; i < pairs_->size(); ++i) {
+      const auto& [a, b] = (*pairs_)[i];
+      if (tc.incomparable(a, b)) racing_.set(i);
+    }
+    return true;
+  }
+
+  void merge(const RaceAccumulator& o) { racing_ |= o.racing_; }
+  const DynamicBitset& racing() const { return racing_; }
+
+ private:
+  const Trace& trace_;
+  const std::vector<DependenceEdge>* pairs_;
+  search::ShardedFingerprintSet* dedup_;
+  DynamicBitset racing_;
+};
+
+/// The data edges of C(sigma) are the same in every feasible schedule:
+/// F3 is enforced and every conflicting pair is a D edge in one
+/// direction or the other.
+bool data_edges_schedule_invariant(const Trace& trace,
+                                   const ExactOptions& options,
+                                   const std::vector<DependenceEdge>& pairs) {
+  const std::vector<DependenceEdge>& deps = trace.dependences();
+  return options.respect_dependences &&
+         std::all_of(pairs.begin(), pairs.end(), [&](const DependenceEdge& p) {
+           return std::binary_search(deps.begin(), deps.end(), p) ||
+                  std::binary_search(deps.begin(), deps.end(),
+                                     DependenceEdge{p.second, p.first});
+         });
+}
+
 }  // namespace
+
+bool class_sweep_carries_races(const Trace& trace,
+                               const ExactOptions& options) {
+  return !options.causal_data_edges ||
+         data_edges_schedule_invariant(trace, options,
+                                       trace.conflicting_pairs());
+}
 
 CausalIntervalRelations compute_causal_and_interval(
     const Trace& trace, const ExactOptions& options) {
@@ -277,33 +360,42 @@ CausalIntervalRelations compute_causal_and_interval(
   // both results; only the per-semantics readings of the accumulated
   // matrices differ (CausalAccumulator::finish).
   OrderingRelations r = make_empty_result(trace, Semantics::kCausal);
+  const std::vector<DependenceEdge> pairs = trace.conflicting_pairs();
+  // Fused: enumerate the synchronization-only classes, read the race
+  // bits off every one of them and the full closure off each new one.
+  const bool fused = options.causal_data_edges &&
+                     data_edges_schedule_invariant(trace, options, pairs);
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
+  // One dedup set for both class kinds (distinct fingerprint seeds), so
+  // the byte budget charges both.
   search::ShardedFingerprintSet dedup;
   const std::size_t num_threads =
       search::resolve_num_threads(options.num_threads);
-  // One accumulator per worker slot (lock-free accepts: same-slot visits
-  // never overlap), class dedup shared through the sharded set, all
-  // budgets strict and global via the shared search context.
+  // One accumulator (pair) per worker slot (lock-free accepts: same-slot
+  // visits never overlap), class dedup shared through the sharded set,
+  // all budgets strict and global via the shared search context.
   std::vector<CausalAccumulator> accs;
+  std::vector<RaceAccumulator> race_accs;
   accs.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
     accs.emplace_back(trace, causal, dedup);
+    if (fused) race_accs.emplace_back(trace, pairs, dedup);
   }
-  const auto accept = [&](const std::vector<EventId>& s) {
-    accs[0].accept(s);
-    return true;
-  };
   const auto accept_slot = [&](std::size_t slot,
                                const std::vector<EventId>& s) {
+    if (fused && !race_accs[slot].accept(s)) return true;
     accs[slot].accept(s);
     return true;
+  };
+  const auto accept = [&](const std::vector<EventId>& s) {
+    return accept_slot(0, s);
   };
 
   if (options.class_dedup) {
     ClassEnumOptions co;
     co.stepper.respect_dependences = options.respect_dependences;
-    co.causal = causal;
+    co.causal.include_data_edges = causal.include_data_edges && !fused;
     co.max_schedules = options.max_schedules;
     co.time_budget_seconds = options.time_budget_seconds;
     co.max_memory_bytes = options.max_memory_bytes;
@@ -348,11 +440,20 @@ CausalIntervalRelations compute_causal_and_interval(
   // class-dedup set is added here exactly once — never summed per worker.
   r.search.memo_bytes += dedup.bytes();
   for (std::size_t i = 1; i < accs.size(); ++i) accs[0].merge(accs[i]);
+  for (std::size_t i = 1; i < race_accs.size(); ++i) {
+    race_accs[0].merge(race_accs[i]);
+  }
 
-  CausalIntervalRelations out{r, std::move(r)};
+  CausalIntervalRelations out{r, std::move(r), std::nullopt};
   out.interval.semantics = Semantics::kInterval;
   accs[0].finish(out.causal);
   accs[0].finish(out.interval);
+  if (fused) {
+    out.races = race_accs[0].racing();
+  } else if (!options.causal_data_edges) {
+    // The causal member already is race semantics.
+    out.races = accs[0].concurrent_pairs(pairs);
+  }
   return out;
 }
 

@@ -10,13 +10,31 @@
 // (compute_causal_and_interval).  Both engines are exponential in the
 // worst case — Theorems 1-4 say they must be, assuming P != NP — so
 // budgets apply and results carry a `truncated` flag.
+//
+// The same class sweep also yields the exact races (race semantics: CCW
+// of the synchronization-only causal order, race/race_detector.hpp)
+// whenever the data edges of C(sigma) are schedule-invariant — F3 is
+// enforced and every conflicting pair is a D edge, so every feasible
+// schedule orders it the same way.  Then C(sigma) = closure(C_sync(sigma)
+// ∪ D) and each synchronization-only class determines exactly one full
+// class: the enumeration runs on the FINER synchronization-only order,
+// one accumulator ORs the race bits per synchronization class, and the
+// full-closure accumulator reads only schedules that opened a new
+// synchronization class (one representative per class: Maarand &
+// Uustalu, "Generating Representative Executions").  Traces that break
+// the precondition (e.g. `auto_dependences off` leaving a conflicting
+// pair outside D, or respect_dependences = false) keep the full-order
+// sweep and carry no race bits; detect_races_exact then runs its own
+// sweep.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "ordering/relations.hpp"
 #include "search/search.hpp"
 #include "trace/trace.hpp"
+#include "util/dynamic_bitset.hpp"
 
 namespace evord {
 
@@ -97,16 +115,36 @@ struct ExactOptions {
 /// Causal and interval relations from one causal-class enumeration.  The
 /// members share the sweep: truncated, schedules_seen, causal_classes,
 /// deadlocked_prefixes, feasible_empty and search are equal in both.
+/// schedules_seen, deadlocked_prefixes and search describe the sweep
+/// actually run — the synchronization-only one when the race bits ride
+/// along with causal_data_edges set — while causal_classes counts the
+/// classes of the requested causal order.
 struct CausalIntervalRelations {
   OrderingRelations causal;
   OrderingRelations interval;
+  /// Race semantics per candidate pair: bit i is set iff
+  /// trace.conflicting_pairs()[i] could have been concurrent under the
+  /// synchronization-only causal order of some feasible execution.
+  /// Present iff class_sweep_carries_races(trace, options); it is as
+  /// truncated as the sweep (`causal.truncated`).
+  std::optional<DynamicBitset> races;
 
   /// The member for `semantics` (kCausal or kInterval; checked).
   const OrderingRelations& of(Semantics semantics) const;
   std::uint64_t approx_bytes() const {
-    return causal.approx_bytes() + interval.approx_bytes();
+    return causal.approx_bytes() + interval.approx_bytes() +
+           (races.has_value() ? races->word_count() * sizeof(std::uint64_t)
+                               : 0);
   }
 };
+
+/// True iff compute_causal_and_interval(trace, options) fills `races`:
+/// the options already use race semantics (causal_data_edges = false),
+/// or the data edges are schedule-invariant (respect_dependences holds
+/// and every conflicting pair is a dependences() edge in some
+/// direction).  O(conflicting pairs · log |D|).
+bool class_sweep_carries_races(const Trace& trace,
+                               const ExactOptions& options = {});
 
 CausalIntervalRelations compute_causal_and_interval(
     const Trace& trace, const ExactOptions& options = {});

@@ -7,6 +7,7 @@
 #include "approx/vector_clock.hpp"
 #include "graph/reachability.hpp"
 #include "ordering/causal.hpp"
+#include "util/check.hpp"
 
 namespace evord {
 
@@ -49,48 +50,52 @@ std::string RaceReport::summary(const Trace& trace) const {
 
 namespace {
 
+/// The report over the trace's candidate pairs; `races(i, a, b)` says
+/// whether candidate i = (a, b) races.
+template <class Races>
+RaceReport collect_races(const Trace& trace, RaceDetector detector,
+                         Races&& races) {
+  RaceReport report;
+  report.detector = detector;
+  const TransitiveClosure observed =
+      observed_causal_closure(trace, {.include_data_edges = false});
+  const std::vector<DependenceEdge> pairs = trace.conflicting_pairs();
+  report.candidate_pairs = pairs.size();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto [a, b] = pairs[i];
+    if (!races(i, a, b)) continue;
+    Race r;
+    r.a = std::min(a, b);
+    r.b = std::max(a, b);
+    r.hidden_in_observed = !observed.incomparable(a, b);
+    report.races.push_back(r);
+  }
+  return report;
+}
+
 RaceReport from_unordered_pairs(const Trace& trace,
                                 const RelationMatrix& ordered,
                                 RaceDetector detector) {
   // `ordered` is a happened-before-style relation; a candidate pair races
   // iff unordered in both directions.
-  RaceReport report;
-  report.detector = detector;
-  const TransitiveClosure observed =
-      observed_causal_closure(trace, {.include_data_edges = false});
-  for (const auto& [a, b] : trace.conflicting_pairs()) {
-    ++report.candidate_pairs;
-    if (!ordered.holds(a, b) && !ordered.holds(b, a)) {
-      Race r;
-      r.a = std::min(a, b);
-      r.b = std::max(a, b);
-      r.hidden_in_observed = !observed.incomparable(a, b);
-      report.races.push_back(r);
-    }
-  }
-  return report;
+  return collect_races(trace, detector,
+                       [&](std::size_t, EventId a, EventId b) {
+                         return !ordered.holds(a, b) && !ordered.holds(b, a);
+                       });
 }
 
 }  // namespace
 
-RaceReport races_from_relations(const Trace& trace,
-                                const OrderingRelations& relations) {
-  RaceReport report;
-  report.detector = RaceDetector::kExact;
-  report.truncated = relations.truncated;
-  report.search = relations.search;
-  const TransitiveClosure observed =
-      observed_causal_closure(trace, {.include_data_edges = false});
-  for (const auto& [a, b] : trace.conflicting_pairs()) {
-    ++report.candidate_pairs;
-    if (relations.holds(RelationKind::kCCW, a, b)) {
-      Race r;
-      r.a = std::min(a, b);
-      r.b = std::max(a, b);
-      r.hidden_in_observed = !observed.incomparable(a, b);
-      report.races.push_back(r);
-    }
-  }
+RaceReport races_from_class_sweep(const Trace& trace,
+                                  const CausalIntervalRelations& sweep) {
+  EVORD_CHECK(sweep.races.has_value(),
+              "the class sweep carries no race bits for this trace and "
+              "these options (class_sweep_carries_races)");
+  RaceReport report = collect_races(
+      trace, RaceDetector::kExact,
+      [&](std::size_t i, EventId, EventId) { return sweep.races->test(i); });
+  report.truncated = sweep.causal.truncated;
+  report.search = sweep.causal.search;
   return report;
 }
 
@@ -100,12 +105,13 @@ RaceReport detect_races_exact(const Trace& trace,
   // the SYNCHRONIZATION-only happened-before of each feasible execution;
   // the shared-data dependences still restrict which executions are
   // feasible (F3), they just do not count as orderings of the racing
-  // pair itself.
+  // pair itself.  With causal_data_edges off the sweep reads the race
+  // bits off its own CCW matrix, independently of the fused
+  // synchronization-class accumulator the full-order options use.
   ExactOptions race_options = options;
   race_options.causal_data_edges = false;
-  const OrderingRelations rel =
-      compute_exact(trace, Semantics::kCausal, race_options);
-  return races_from_relations(trace, rel);
+  return races_from_class_sweep(
+      trace, compute_causal_and_interval(trace, race_options));
 }
 
 RaceReport detect_races_observed(const Trace& trace) {

@@ -7,8 +7,13 @@
 // processes.  Three detectors are provided:
 //
 //   * exact      — the pair races iff it could-have-been-concurrent
-//                  (CCW under causal semantics, quantifying over every
-//                  feasible execution).  Exponential; exhaustive.
+//                  (CCW under causal semantics without data edges,
+//                  quantifying over every feasible execution).
+//                  Exponential; exhaustive.  When the trace's data
+//                  edges are schedule-invariant the full-order class
+//                  sweep behind the causal/interval relations yields
+//                  the same bits (ordering/exact.hpp), so a service
+//                  session pays one sweep for relations and races.
 //   * observed   — vector clocks over the one observed execution, the
 //                  classic polynomial detector.  Misses races that only
 //                  alternate schedules expose.
@@ -61,16 +66,20 @@ struct RaceReport {
   std::uint64_t approx_bytes() const;
 };
 
+/// The independent race-only sweep: a class sweep under race semantics
+/// (causal_data_edges forced off) whose causal CCW matrix gives the
+/// bits.  It is the differential reference for the race bits a
+/// full-order class sweep carries (compute_causal_and_interval).
 RaceReport detect_races_exact(const Trace& trace,
                               const ExactOptions& options = {});
-/// Derives the exact report from ALREADY-COMPUTED race-semantics
-/// relations (Semantics::kCausal with causal_data_edges = false): pure
-/// bit reads over the CCW matrix, no search.  The sharing hook for the
-/// service layer — a session that has the race-semantics relations
-/// cached answers races() without a second exponential sweep, and the
-/// derived report carries the relations' SearchStats verbatim.
-RaceReport races_from_relations(const Trace& trace,
-                                const OrderingRelations& relations);
+/// The exact report from an ALREADY-COMPUTED class sweep that carries
+/// race bits (`sweep.races`, checked; see class_sweep_carries_races):
+/// pure bit reads, no search.  The sharing hook for the service layer —
+/// a session answers races() from the same cached causal/interval entry
+/// relations() reads, and the report carries the sweep's truncated flag
+/// and SearchStats verbatim.
+RaceReport races_from_class_sweep(const Trace& trace,
+                                  const CausalIntervalRelations& sweep);
 RaceReport detect_races_observed(const Trace& trace);
 RaceReport detect_races_guaranteed(const Trace& trace);
 

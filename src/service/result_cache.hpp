@@ -40,11 +40,15 @@ namespace evord::service {
 ///   kRelations      -> OrderingRelations       (interleaving Table-1
 ///                      matrices)
 ///   kCausalInterval -> CausalIntervalRelations (causal AND interval
-///                      matrices from one class sweep; no semantics byte)
+///                      matrices from one class sweep, plus the exact-race
+///                      bits kRaces/kExact reads when the sweep carries
+///                      them; no semantics byte)
 ///   kFeasible       -> CanPrecedeResult        (verdict-only, no matrices)
 ///   kCoexist        -> CanPrecedeResult        (with can_coexist built)
 ///   kDeadlock       -> DeadlockReport
-///   kRaces          -> RaceReport              (detector folded into digest)
+///   kRaces          -> RaceReport              (detector folded into digest;
+///                      kExact derived from the kCausalInterval entry
+///                      whenever it carries race bits)
 ///   kAnytimeVerdict -> CachedVerdict (session.hpp; pair + ladder folded
 ///                      into digest, upgradeable in place)
 enum class QueryKind : std::uint8_t {

@@ -76,6 +76,7 @@ AnalysisSession::AnalysisSession(std::shared_ptr<const Trace> trace,
               "trace violates model axioms:\n" << axioms.text());
   fingerprint_ = trace_->fingerprint();
   options_digest_ = digest_options(options_);
+  races_in_class_sweep_ = class_sweep_carries_races(*trace_, options_);
   if (cache_ == nullptr) cache_ = std::make_shared<ResultCache>();
 }
 
@@ -212,11 +213,16 @@ std::shared_ptr<const OrderingRelations> AnalysisSession::relations_coalesced(
   }
   // Causal and interval share one entry and one in-flight claim (one
   // class sweep finishes both): hand out an aliasing pointer into it.
-  const auto both = coalesced_query<CausalIntervalRelations>(
+  const auto both = class_sweep_coalesced(lock);
+  return {both, &both->of(semantics)};
+}
+
+std::shared_ptr<const CausalIntervalRelations>
+AnalysisSession::class_sweep_coalesced(std::unique_lock<std::mutex>& lock) {
+  return coalesced_query<CausalIntervalRelations>(
       lock, make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0),
       /*serialize_memo=*/false, /*counts_sweep=*/true,
       [&] { return compute_causal_and_interval(*trace_, options_); });
-  return {both, &both->of(semantics)};
 }
 
 std::shared_ptr<const OrderingRelations> AnalysisSession::relations(
@@ -396,28 +402,28 @@ std::shared_ptr<const RaceReport> AnalysisSession::races(
   const CacheKey key =
       make_key(QueryKind::kRaces, CacheKey::kNoSemantics,
                hash_mix(kRaceSalt, static_cast<std::uint64_t>(detector), 0));
-  if (detector == RaceDetector::kExact && !options_.causal_data_edges) {
-    // Exact races are bit reads over the race-semantics CCW matrix, and
-    // the session's own options already use race semantics: the report
-    // reads the relations() entry, so the two queries cost ONE sweep
-    // between them.  The report embeds the relations' SearchStats
-    // verbatim, so it counts neither the sweep nor its states again.  A
-    // truncated sweep makes a truncated — never cached — report.
+  if (detector == RaceDetector::kExact && races_in_class_sweep_) {
+    // The class sweep behind relations(kCausal / kInterval) carries the
+    // race bits: the report is bit reads over that entry, so the two
+    // queries cost ONE sweep between them.  The report embeds the
+    // sweep's SearchStats verbatim, so it counts neither the sweep nor
+    // its states again.  A truncated sweep makes a truncated — never
+    // cached — report.
     return coalesced_query<RaceReport>(
         lock, key, /*serialize_memo=*/false, /*counts_sweep=*/false,
         [&] {
           // Runs with mu_ RELEASED (coalesced_query's contract), so the
-          // nested relations lookup takes it afresh — itself coalesced,
+          // nested class-sweep lookup takes it afresh — itself coalesced,
           // and dropped again before the derivation's bit reads.
           std::unique_lock<std::mutex> inner(mu_);
-          const auto rel = relations_coalesced(inner, Semantics::kCausal);
+          const auto sweep = class_sweep_coalesced(inner);
           inner.unlock();
-          return races_from_relations(*trace_, *rel);
+          return races_from_class_sweep(*trace_, *sweep);
         },
         /*counts_states=*/false);
   }
-  // Otherwise no other query reads the race-semantics relations, so an
-  // exact report runs its own sweep and keeps only the (cached) report.
+  // Otherwise (data edges that vary between schedules) the race bits
+  // need their own race-semantics sweep; only the cached report is kept.
   return coalesced_query<RaceReport>(
       lock, key, /*serialize_memo=*/false,
       /*counts_sweep=*/detector == RaceDetector::kExact,

@@ -17,7 +17,8 @@
 //     sweep answers from the root memo hit;
 //   * N pair queries coalesce into at most two sweeps (query_batch)
 //     instead of N: one for interleaving pairs and one causal-class
-//     sweep whose cached entry answers both causal and interval pairs;
+//     sweep whose cached entry answers both causal and interval pairs —
+//     and, on traces whose data edges are D edges, exact races too;
 //   * anytime verdicts are cached WITH the digest of the ladder that
 //     produced them: a definitive verdict (proven/refuted) is final and
 //     served to every caller, an `unknown` is recomputed — and replaced
@@ -196,13 +197,14 @@ class AnalysisSession {
   std::shared_ptr<const DeadlockReport> deadlocks();
 
   /// Cached per detector (the historic OrderingAnalyzer::races()
-  /// recomputed the analysis every call).  kExact derives the report
-  /// from the race-semantics (causal_data_edges = false) CCW matrix by
-  /// pure bit reads.  When the session's own options already use race
-  /// semantics it SHARES the sweep with relations() (one exponential
-  /// sweep between them); otherwise its sweep is not kept, since only
-  /// the cached report reads it.  A truncated sweep yields a truncated —
-  /// and therefore never-cached — report.
+  /// recomputed the analysis every call).  kExact reads the race bits
+  /// the causal/interval class sweep carries whenever
+  /// class_sweep_carries_races(trace, options) — race-semantics options,
+  /// or data edges that are the same in every feasible schedule — so it
+  /// SHARES the sweep with relations() (one exponential sweep between
+  /// them).  Otherwise it runs its own race-semantics sweep, which is
+  /// not kept: only the cached report reads it.  A truncated sweep
+  /// yields a truncated — and therefore never-cached — report.
   std::shared_ptr<const RaceReport> races(
       RaceDetector detector = RaceDetector::kExact);
 
@@ -281,6 +283,9 @@ class AnalysisSession {
   /// Causal and interval results alias into one kCausalInterval entry.
   std::shared_ptr<const OrderingRelations> relations_coalesced(
       std::unique_lock<std::mutex>& lock, Semantics semantics);
+  /// That entry itself (the class sweep; races() reads its race bits).
+  std::shared_ptr<const CausalIntervalRelations> class_sweep_coalesced(
+      std::unique_lock<std::mutex>& lock);
   std::shared_ptr<const CanPrecedeResult> feasibility_coalesced(
       std::unique_lock<std::mutex>& lock);
   std::shared_ptr<const CanPrecedeResult> coexistence_coalesced(
@@ -294,6 +299,8 @@ class AnalysisSession {
   ExactOptions options_;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t options_digest_ = 0;
+  /// class_sweep_carries_races(*trace_, options_), fixed per session.
+  bool races_in_class_sweep_ = false;
   std::shared_ptr<ResultCache> cache_;
 
   mutable std::mutex mu_;

@@ -91,6 +91,8 @@ class Trace {
   }
 
   // ----- D: shared-data dependences ----------------------------------
+  /// Sorted and duplicate-free (TraceBuilder::build), so membership is a
+  /// binary search.
   const std::vector<DependenceEdge>& dependences() const {
     return dependences_;
   }

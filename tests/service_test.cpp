@@ -72,6 +72,35 @@ Trace wedgeable_trace() {
   return b.build();
 }
 
+/// The quickstart trace plus an unsynchronized writer of x: both of the
+/// original accesses race with it.
+Trace racy_trace() {
+  TraceBuilder b;
+  const ObjectId s = b.semaphore("s");
+  const VarId x = b.variable("x");
+  const ProcId p1 = b.add_process();
+  const ProcId p2 = b.add_process();
+  b.compute(b.root(), "w", {}, {x});
+  b.sem_v(b.root(), s);
+  b.sem_p(p1, s);
+  b.compute(p1, "r", {x}, {});
+  b.compute(p2, "w2", {}, {x});
+  return b.build();
+}
+
+std::vector<PairQuery> three_semantics_batch(const Trace& trace) {
+  std::vector<PairQuery> queries;
+  const EventId n = static_cast<EventId>(trace.num_events());
+  for (EventId a = 0; a < n; ++a) {
+    for (EventId b = 0; b < n; ++b) {
+      for (const Semantics s : kAllSemantics) {
+        queries.push_back({RelationKind::kCCW, a, b, s});
+      }
+    }
+  }
+  return queries;
+}
+
 void expect_same_relations(const OrderingRelations& a,
                            const OrderingRelations& b) {
   EXPECT_EQ(a.semantics, b.semantics);
@@ -613,6 +642,66 @@ TEST(ServiceCoalescing, CausalAndIntervalRequestsShareOneClassSweep) {
                         compute_exact(trace, Semantics::kInterval, {}));
 }
 
+TEST(ServiceCoalescing, CausalIntervalAndRaceRequestsShareOneClassSweep) {
+  const Trace trace = racy_trace();
+  AnalysisSession baseline(std::make_shared<const Trace>(trace));
+  baseline.relations(Semantics::kCausal);
+  const std::uint64_t one_sweep_states = baseline.stats().states_explored;
+
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const OrderingRelations>> relations(kThreads);
+  std::vector<std::shared_ptr<const RaceReport>> reports(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&session, &relations, &reports, i] {
+        const auto slot = static_cast<std::size_t>(i);
+        switch (i % 3) {
+          case 0:
+            relations[slot] = session.relations(Semantics::kCausal);
+            break;
+          case 1:
+            relations[slot] = session.relations(Semantics::kInterval);
+            break;
+          default:
+            reports[slot] = session.races(RaceDetector::kExact);
+            break;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  // All three kinds of request coalesce onto ONE class sweep; the race
+  // report is one more (derived, sweep-free) computation.
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.sweeps, 1u);
+  EXPECT_EQ(stats.computations, 2u);
+  EXPECT_EQ(stats.states_explored, one_sweep_states);
+  const OrderingRelations causal = compute_exact(trace, Semantics::kCausal, {});
+  const OrderingRelations interval =
+      compute_exact(trace, Semantics::kInterval, {});
+  const RaceReport races = detect_races_exact(trace, {});
+  for (int i = 0; i < kThreads; ++i) {
+    const auto slot = static_cast<std::size_t>(i);
+    switch (i % 3) {
+      case 0:
+        ASSERT_NE(relations[slot], nullptr);
+        expect_same_relations(*relations[slot], causal);
+        break;
+      case 1:
+        ASSERT_NE(relations[slot], nullptr);
+        expect_same_relations(*relations[slot], interval);
+        break;
+      default:
+        ASSERT_NE(reports[slot], nullptr);
+        expect_same_races(*reports[slot], races);
+        break;
+    }
+  }
+}
+
 TEST(ServiceCoalescing, DistinctQueriesOverlapSafely) {
   // Six different query kinds in flight at once: each computes exactly
   // once (the session mutex is released during the engines' work, so
@@ -915,6 +1004,68 @@ TEST(AnalysisSession, ExactRacesShareOneSweepWithRelations) {
   EXPECT_EQ(reversed.stats().states_explored, rwarm.states_explored);
   // Either order, the report matches the from-scratch detector.
   expect_same_races(*report, detect_races_exact(session.trace(), options));
+}
+
+TEST(AnalysisSession, ExactRacesAfterThreeSemanticsBatchAddNoSweep) {
+  // The batch's class sweep carries the race bits (every conflicting
+  // pair is a D edge), so the exact report is bit reads over its entry.
+  const Trace trace = racy_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  session.query_batch(three_semantics_batch(trace));
+  const SessionStats warm = session.stats();
+  EXPECT_EQ(warm.sweeps, 2u);
+  const auto report = session.races(RaceDetector::kExact);
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.sweeps, warm.sweeps);
+  EXPECT_EQ(after.states_explored, warm.states_explored);
+  EXPECT_EQ(after.computations, warm.computations + 1);  // the report
+  EXPECT_FALSE(report->truncated);
+  EXPECT_EQ(report->races.size(), 2u);
+  expect_same_races(*report, detect_races_exact(trace, {}));
+}
+
+TEST(AnalysisSession, ExactRacesFirstThenBatchRunOneClassSweep) {
+  const Trace trace = racy_trace();
+  AnalysisSession baseline(std::make_shared<const Trace>(trace));
+  baseline.relations(Semantics::kCausal);
+  const std::uint64_t class_sweep_states = baseline.stats().states_explored;
+  baseline.relations(Semantics::kInterleaving);
+  const std::uint64_t both_sweeps_states = baseline.stats().states_explored;
+
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  const auto report = session.races(RaceDetector::kExact);
+  const SessionStats warm = session.stats();
+  EXPECT_EQ(warm.sweeps, 1u);
+  EXPECT_EQ(warm.computations, 2u);  // the class sweep and the report
+  EXPECT_EQ(warm.states_explored, class_sweep_states);
+  // The batch finds the causal/interval entry the race query left.
+  const std::vector<PairQuery> queries = three_semantics_batch(trace);
+  const std::vector<bool> answers = session.query_batch(queries);
+  const SessionStats after = session.stats();
+  EXPECT_EQ(after.sweeps, 2u);  // + the interleaving sweep only
+  EXPECT_EQ(after.computations, 3u);
+  EXPECT_EQ(after.states_explored, both_sweeps_states);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const PairQuery& q = queries[i];
+    EXPECT_EQ(answers[i], compute_exact(trace, q.semantics, {})
+                              .holds(q.relation, q.a, q.b))
+        << "query " << i;
+  }
+  expect_same_races(*report, detect_races_exact(trace, {}));
+}
+
+TEST(AnalysisSession, ExactRacesRunOwnSweepWhenDataEdgesVary) {
+  // Ignoring F3, a schedule may run a conflicting pair either way round,
+  // so the class sweep carries no race bits: races() pays its own sweep.
+  ExactOptions options;
+  options.respect_dependences = false;
+  const Trace trace = racy_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace), options);
+  session.relations(Semantics::kCausal);
+  EXPECT_EQ(session.stats().sweeps, 1u);
+  const auto report = session.races(RaceDetector::kExact);
+  EXPECT_EQ(session.stats().sweeps, 2u);
+  expect_same_races(*report, detect_races_exact(trace, options));
 }
 
 TEST(AnalysisSession, TruncatedRaceReportIsNeverCached) {
