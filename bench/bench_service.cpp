@@ -1,6 +1,6 @@
 // Service-layer experiment: what the analysis-as-a-service core buys.
 //
-// Three row families, one BENCH_service.json:
+// Four row families, one BENCH_service.json:
 //
 //   1. Cold vs warm.  The same Theorem-1 causal sweep asked twice
 //      through one AnalysisSession: the first call pays the exponential
@@ -18,7 +18,15 @@
 //      race bits of that class sweep, so the total stays at two.  Rows
 //      record the wall times and the sweep counts.
 //
-//   3. Hit ratio.  The shared-cache stats after a mixed query workload
+//   3. Cold batch overlap.  On cold-pool-shaped traces (6 processes,
+//      32 events, sweeps screened to at most 10k states), the
+//      interleaving sweep and the class sweep each timed alone, then a
+//      cold all-pairs three-semantics batch, which runs the two sweeps
+//      side by side.  overlap = (interleaving_ms + class_sweep_ms) /
+//      batch_ms: above 1 means the batch costs less than the two sweeps
+//      in a row.  Sweep counts and answers are asserted, timings are not.
+//
+//   4. Hit ratio.  The shared-cache stats after a mixed query workload
 //      repeated through a TraceRegistry session, the service-level
 //      observable an operator would alert on.
 #include <benchmark/benchmark.h>
@@ -31,6 +39,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "ordering/exact.hpp"
 #include "ordering/relations.hpp"
 #include "reductions/reduction.hpp"
 #include "sat/formula.hpp"
@@ -40,6 +49,7 @@
 #include "util/check.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
+#include "workload/generators.hpp"
 
 namespace {
 
@@ -174,7 +184,120 @@ JsonRecord run_batch_vs_singles(const std::string& workload,
 }
 
 // ---------------------------------------------------------------------
-// 3. Hit ratio of a mixed workload through a shared registry cache.
+// 3. Cold batch overlap.
+
+/// The first `count` random semaphore traces shaped like the daemon
+/// benchmark's cold pool whose interleaving and class sweeps each finish
+/// within 10k states.
+std::vector<Trace> cold_pool_shaped_traces(std::size_t count) {
+  ExactOptions band;
+  band.max_states = 10'000;
+  std::vector<Trace> traces;
+  for (std::uint64_t seed = 1; traces.size() < count; ++seed) {
+    Rng rng(seed);
+    SemTraceConfig config;
+    config.num_processes = 6;
+    config.num_semaphores = 3;
+    config.num_variables = 3;
+    config.num_events = 32;
+    Trace trace = random_semaphore_trace(config, rng);
+    if (!compute_exact(trace, Semantics::kInterleaving, band).truncated &&
+        !compute_causal_and_interval(trace, band).causal.truncated) {
+      traces.push_back(std::move(trace));
+    }
+  }
+  return traces;
+}
+
+/// Every ordered pair under every semantics, relations cycling as in the
+/// daemon benchmark's full batch.
+std::vector<PairQuery> all_pairs_batch(const Trace& trace) {
+  std::vector<PairQuery> queries;
+  const auto n = static_cast<EventId>(trace.num_events());
+  for (const Semantics s : {Semantics::kInterleaving, Semantics::kCausal,
+                            Semantics::kInterval}) {
+    for (EventId a = 0; a < n; ++a) {
+      for (EventId b = 0; b < n; ++b) {
+        if (a == b) continue;
+        const auto kind = (a + b + static_cast<unsigned>(s)) %
+                          static_cast<unsigned>(kNumRelationKinds);
+        queries.push_back({kAllRelationKinds[kind], a, b, s});
+      }
+    }
+  }
+  return queries;
+}
+
+JsonRecord run_cold_batch_overlap(const std::string& workload,
+                                  const std::vector<Trace>& traces) {
+  // Minimum of kReps cold runs per trace and phase, summed over traces;
+  // every run starts from a fresh session, so nothing is warm.
+  constexpr int kReps = 5;
+  double interleaving_ms = 0.0;
+  double class_sweep_ms = 0.0;
+  double batch_ms = 0.0;
+  std::uint64_t batch_sweeps = 0;
+  for (const Trace& trace : traces) {
+    const auto shared = std::make_shared<const Trace>(trace);
+    const std::vector<PairQuery> queries = all_pairs_batch(trace);
+    double best_interleaving = 1e300;
+    double best_class = 1e300;
+    double best_batch = 1e300;
+    std::vector<bool> singles;
+    for (int rep = 0; rep < kReps; ++rep) {
+      AnalysisSession interleaving_session(shared);
+      Timer interleaving_timer;
+      const auto interleaving =
+          interleaving_session.relations(Semantics::kInterleaving);
+      best_interleaving =
+          std::min(best_interleaving, ms_since(interleaving_timer));
+
+      AnalysisSession class_session(shared);
+      Timer class_timer;
+      const auto causal = class_session.relations(Semantics::kCausal);
+      best_class = std::min(best_class, ms_since(class_timer));
+
+      AnalysisSession batch_session(shared);
+      Timer batch_timer;
+      const std::vector<bool> batched = batch_session.query_batch(queries);
+      best_batch = std::min(best_batch, ms_since(batch_timer));
+      batch_sweeps = std::max(batch_sweeps, batch_session.stats().sweeps);
+
+      if (rep == 0) {
+        const auto interval = class_session.relations(Semantics::kInterval);
+        for (const PairQuery& q : queries) {
+          const OrderingRelations& r =
+              q.semantics == Semantics::kInterleaving ? *interleaving
+              : q.semantics == Semantics::kCausal     ? *causal
+                                                      : *interval;
+          singles.push_back(r.holds(q.relation, q.a, q.b));
+        }
+      }
+      EVORD_CHECK(batched == singles,
+                  workload << ": cold batch answers diverge from singles");
+    }
+    interleaving_ms += best_interleaving;
+    class_sweep_ms += best_class;
+    batch_ms += best_batch;
+  }
+  EVORD_CHECK(batch_sweeps <= 2,
+              workload << ": cold batch ran " << batch_sweeps << " sweeps");
+  return JsonRecord{}
+      .add("engine", std::string("service"))
+      .add("variant", std::string("cold_batch_overlap"))
+      .add("workload", workload)
+      .add("num_traces", static_cast<std::uint64_t>(traces.size()))
+      .add("interleaving_ms", interleaving_ms)
+      .add("class_sweep_ms", class_sweep_ms)
+      .add("batch_ms", batch_ms)
+      .add("batch_sweeps", batch_sweeps)
+      .add("overlap", batch_ms > 0.0
+                          ? (interleaving_ms + class_sweep_ms) / batch_ms
+                          : 0.0);
+}
+
+// ---------------------------------------------------------------------
+// 4. Hit ratio of a mixed workload through a shared registry cache.
 
 JsonRecord run_hit_ratio(const std::string& workload, const Trace& trace) {
   TraceRegistry registry;
@@ -213,6 +336,8 @@ std::vector<JsonRecord> run_service_sweep() {
   rows.push_back(run_cold_vs_warm("theorem1_sat", sat));
   rows.push_back(run_cold_vs_warm("theorem1_unsat", unsat));
   rows.push_back(run_batch_vs_singles("theorem1_sat", sat, 24));
+  rows.push_back(
+      run_cold_batch_overlap("cold_pool_shaped", cold_pool_shaped_traces(8)));
   rows.push_back(run_hit_ratio("theorem1_sat", sat));
   return rows;
 }

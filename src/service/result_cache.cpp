@@ -35,6 +35,11 @@ std::shared_ptr<const void> ResultCache::get_erased(const CacheKey& key,
   return it->second->value;
 }
 
+bool ResultCache::contains(const CacheKey& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_.count(key) != 0;
+}
+
 void ResultCache::put_erased(const CacheKey& key,
                              std::shared_ptr<const void> value,
                              std::uint64_t approx_bytes) {

@@ -126,6 +126,10 @@ class ResultCache {
     return std::static_pointer_cast<const T>(get_erased(key, false));
   }
 
+  /// True iff `key` is resident.  Counts nothing and promotes nothing:
+  /// for deciding how to fetch an entry, not for reading it.
+  bool contains(const CacheKey& key) const;
+
   /// Inserts (or replaces) `key`, charging `approx_bytes`, then evicts
   /// LRU entries until back under budget.  Returns the stored pointer —
   /// valid for the caller even if the entry was immediately evicted

@@ -1,7 +1,8 @@
 #include "service/session.hpp"
 
-#include <array>
 #include <cstring>
+#include <exception>
+#include <thread>
 #include <utility>
 
 #include "search/fingerprint_set.hpp"
@@ -98,6 +99,15 @@ CacheKey AnalysisSession::make_key(QueryKind kind, std::uint8_t semantics,
                  : hash_mix(static_cast<std::uint64_t>(kind),
                             options_digest_, extra);
   return key;
+}
+
+CacheKey AnalysisSession::interleaving_key() const {
+  return make_key(QueryKind::kRelations,
+                  static_cast<std::uint8_t>(Semantics::kInterleaving), 0);
+}
+
+CacheKey AnalysisSession::class_sweep_key() const {
+  return make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0);
 }
 
 ScheduleSpaceOptions AnalysisSession::space_options(
@@ -205,10 +215,9 @@ std::shared_ptr<const T> AnalysisSession::coalesced_query(
 std::shared_ptr<const OrderingRelations> AnalysisSession::relations_coalesced(
     std::unique_lock<std::mutex>& lock, Semantics semantics) {
   if (semantics == Semantics::kInterleaving) {
-    const CacheKey key = make_key(QueryKind::kRelations,
-                                  static_cast<std::uint8_t>(semantics), 0);
     return coalesced_query<OrderingRelations>(
-        lock, key, /*serialize_memo=*/false, /*counts_sweep=*/true,
+        lock, interleaving_key(), /*serialize_memo=*/false,
+        /*counts_sweep=*/true,
         [&] { return compute_exact(*trace_, semantics, options_); });
   }
   // Causal and interval share one entry and one in-flight claim (one
@@ -220,8 +229,7 @@ std::shared_ptr<const OrderingRelations> AnalysisSession::relations_coalesced(
 std::shared_ptr<const CausalIntervalRelations>
 AnalysisSession::class_sweep_coalesced(std::unique_lock<std::mutex>& lock) {
   return coalesced_query<CausalIntervalRelations>(
-      lock, make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0),
-      /*serialize_memo=*/false, /*counts_sweep=*/true,
+      lock, class_sweep_key(), /*serialize_memo=*/false, /*counts_sweep=*/true,
       [&] { return compute_causal_and_interval(*trace_, options_); });
 }
 
@@ -243,14 +251,13 @@ std::optional<bool> AnalysisSession::cached_pair_query(
     const PairQuery& query) {
   std::optional<bool> answer;
   if (query.semantics == Semantics::kInterleaving) {
-    const auto relations = cache_->probe<OrderingRelations>(
-        make_key(QueryKind::kRelations,
-                 static_cast<std::uint8_t>(query.semantics), 0));
+    const auto relations =
+        cache_->probe<OrderingRelations>(interleaving_key());
     if (relations == nullptr) return std::nullopt;
     answer = relations->holds(query.relation, query.a, query.b);
   } else {
-    const auto both = cache_->probe<CausalIntervalRelations>(
-        make_key(QueryKind::kCausalInterval, CacheKey::kNoSemantics, 0));
+    const auto both =
+        cache_->probe<CausalIntervalRelations>(class_sweep_key());
     if (both == nullptr) return std::nullopt;
     answer = both->of(query.semantics).holds(query.relation, query.a, query.b);
   }
@@ -302,12 +309,59 @@ std::vector<bool> AnalysisSession::query_batch(
   // One sweep for interleaving pairs and one class sweep shared by causal
   // and interval pairs (at most two); every answer after that is a bit
   // read out of the shared matrices.
-  std::array<std::shared_ptr<const OrderingRelations>, 3> per_semantics;
+  bool wants_interleaving = false;
+  bool wants_classes = false;
+  for (const std::size_t i : pending) {
+    if (queries[i].semantics == Semantics::kInterleaving) {
+      wants_interleaving = true;
+    } else {
+      wants_classes = true;
+    }
+  }
+  std::shared_ptr<const OrderingRelations> interleaving;
+  std::shared_ptr<const CausalIntervalRelations> classes;
+  // The two sweeps share no state: when both are cold, the interleaving
+  // sweep runs on a helper thread while this one runs the class sweep.
+  // The helper goes through the same coalesced path (and mu_), so claims,
+  // caching and stats are exactly those of the serial order.
+  std::thread helper;
+  std::exception_ptr helper_error;
+  if (wants_interleaving && wants_classes &&
+      !cache_->contains(interleaving_key()) &&
+      !cache_->contains(class_sweep_key())) {
+    helper = std::thread([this, &interleaving, &helper_error] {
+      try {
+        std::unique_lock<std::mutex> helper_lock(mu_);
+        interleaving =
+            relations_coalesced(helper_lock, Semantics::kInterleaving);
+      } catch (...) {
+        helper_error = std::current_exception();
+      }
+    });
+  } else if (wants_interleaving) {
+    interleaving = relations_coalesced(lock, Semantics::kInterleaving);
+  }
+  std::exception_ptr error;
+  if (wants_classes) {
+    try {
+      classes = class_sweep_coalesced(lock);
+    } catch (...) {
+      if (!helper.joinable()) throw;
+      error = std::current_exception();
+    }
+  }
+  if (helper.joinable()) {
+    lock.unlock();  // the helper takes mu_ to publish its sweep
+    helper.join();
+    if (error == nullptr) error = helper_error;
+    if (error != nullptr) std::rethrow_exception(error);
+  }
   for (const std::size_t i : pending) {
     const PairQuery& q = queries[i];
-    auto& rel = per_semantics[static_cast<std::size_t>(q.semantics)];
-    if (rel == nullptr) rel = relations_coalesced(lock, q.semantics);
-    answers[i] = rel->holds(q.relation, q.a, q.b);
+    const OrderingRelations& rel = q.semantics == Semantics::kInterleaving
+                                       ? *interleaving
+                                       : classes->of(q.semantics);
+    answers[i] = rel.holds(q.relation, q.a, q.b);
   }
   return answers;
 }

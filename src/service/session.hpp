@@ -41,7 +41,11 @@
 // Sessions are internally locked (one coarse mutex for bookkeeping);
 // the exponential engines themselves parallelize internally via
 // ExactOptions::num_threads and run OUTSIDE the session mutex (see the
-// coalescing bullet), so concurrent distinct queries overlap.  References
+// coalescing bullet), so concurrent distinct queries overlap.  So do a
+// cold batch's two sweeps: they share no state, and query_batch runs
+// the interleaving sweep on one helper thread of its own while it runs
+// the class sweep itself — at most one extra thread per running batch,
+// none for a warm or single-semantics batch.  References
 // returned by the baseline accessors stay valid for the session's
 // lifetime (write-once members); shared_ptr results stay valid for as
 // long as the caller holds them, even across cache eviction.
@@ -172,9 +176,11 @@ class AnalysisSession {
   /// Batched pair execution.  kExactSweep: N queries cost at most one
   /// interleaving sweep plus one class sweep shared by causal and
   /// interval pairs (at most two), every further answer being a bit
-  /// read.  kOracleFirst: pairs go through the session's warm SAT oracle
-  /// (shared incremental solver) and only oracle-unknown pairs pay for a
-  /// sweep.
+  /// read.  When neither sweep is cached, the interleaving sweep runs on
+  /// a helper thread beside the class sweep; an exception from either
+  /// is rethrown once both have finished.  kOracleFirst: pairs go
+  /// through the session's warm SAT oracle (shared incremental solver)
+  /// and only oracle-unknown pairs pay for a sweep.
   std::vector<bool> query_batch(const std::vector<PairQuery>& queries,
                                 BatchRouting routing = BatchRouting::kExactSweep);
 
@@ -255,6 +261,10 @@ class AnalysisSession {
 
   CacheKey make_key(QueryKind kind, std::uint8_t semantics,
                     std::uint64_t extra) const;
+  /// The two relation entries: the interleaving sweep's and the class
+  /// sweep's (causal and interval together).
+  CacheKey interleaving_key() const;
+  CacheKey class_sweep_key() const;
   ScheduleSpaceOptions space_options(bool build_coexist) const;
   /// Requires memo_mu_ (NOT mu_): the warm completability memo is read
   /// and filled by sweeps running outside the session mutex.

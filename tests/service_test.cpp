@@ -21,6 +21,7 @@
 #include "trace/builder.hpp"
 #include "util/check.hpp"
 #include "util/fault.hpp"
+#include "workload/generators.hpp"
 
 namespace evord {
 namespace {
@@ -99,6 +100,58 @@ std::vector<PairQuery> three_semantics_batch(const Trace& trace) {
     }
   }
   return queries;
+}
+
+/// Every relation x ordered pair x semantics of `trace`.
+std::vector<PairQuery> every_pair_batch(const Trace& trace) {
+  std::vector<PairQuery> queries;
+  const EventId n = static_cast<EventId>(trace.num_events());
+  for (const RelationKind relation : kAllRelationKinds) {
+    for (EventId a = 0; a < n; ++a) {
+      for (EventId b = 0; b < n; ++b) {
+        for (const Semantics s : kAllSemantics) {
+          queries.push_back({relation, a, b, s});
+        }
+      }
+    }
+  }
+  return queries;
+}
+
+/// Smaller cousins of the cold-pool traces: random semaphore traces for
+/// even seeds, random Post/Wait traces for odd ones.
+Trace small_cold_trace(std::uint64_t seed) {
+  Rng rng(seed);
+  if (seed % 2 == 0) {
+    SemTraceConfig config;
+    config.num_processes = 5;
+    config.num_semaphores = 3;
+    config.num_variables = 3;
+    config.num_events = 20;
+    return random_semaphore_trace(config, rng);
+  }
+  EventTraceConfig config;
+  config.num_processes = 4;
+  config.num_event_vars = 2;
+  config.num_variables = 2;
+  config.num_events = 18;
+  return random_event_trace(config, rng);
+}
+
+/// Answers of `queries` read one at a time off fresh, unshared sweeps.
+std::vector<bool> single_answers(const Trace& trace,
+                                 const std::vector<PairQuery>& queries,
+                                 const ExactOptions& options = {}) {
+  std::array<OrderingRelations, 3> reference;
+  for (const Semantics s : kAllSemantics) {
+    reference[static_cast<std::size_t>(s)] = compute_exact(trace, s, options);
+  }
+  std::vector<bool> answers;
+  for (const PairQuery& q : queries) {
+    answers.push_back(reference[static_cast<std::size_t>(q.semantics)].holds(
+        q.relation, q.a, q.b));
+  }
+  return answers;
 }
 
 void expect_same_relations(const OrderingRelations& a,
@@ -534,6 +587,63 @@ TEST(AnalysisSession, TruncatedClassSweepCachesNeitherSemantics) {
   EXPECT_EQ(session.cache()->stats().entries, 0u);
 }
 
+TEST(AnalysisSession, TruncatedBatchRunsOneClassSweep) {
+  // A truncated class sweep is never cached, so the batch must fetch it
+  // once and read both causal and interval pairs off that one result.
+  ExactOptions starved;
+  starved.max_schedules = 1;
+  const Trace trace = wedgeable_trace();
+  AnalysisSession session(std::make_shared<const Trace>(trace), starved);
+  std::vector<PairQuery> queries;
+  for (const PairQuery& q : every_pair_batch(trace)) {
+    if (q.semantics != Semantics::kInterleaving) queries.push_back(q);
+  }
+  const std::vector<bool> answers = session.query_batch(queries);
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.sweeps, 1u);
+  EXPECT_EQ(stats.computations, 1u);
+  EXPECT_EQ(session.cache()->stats().entries, 0u);
+  const CausalIntervalRelations expected =
+      compute_causal_and_interval(trace, starved);
+  ASSERT_TRUE(expected.causal.truncated);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const PairQuery& q = queries[i];
+    EXPECT_EQ(answers[i], expected.of(q.semantics).holds(q.relation, q.a, q.b))
+        << "query " << i;
+  }
+}
+
+TEST(AnalysisSession, ColdBatchOverlapsSweepsWithSameAnswers) {
+  // A cold three-semantics batch runs its interleaving sweep on a helper
+  // thread beside the class sweep.  Whatever the engines' own thread
+  // count, the answers are those of unshared sweeps, still from exactly
+  // two sweeps, and the exact-race report read afterwards matches the
+  // independent race detector.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Trace trace = small_cold_trace(seed);
+    const std::vector<PairQuery> queries = every_pair_batch(trace);
+    for (const std::size_t threads : {1u, 2u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " num_threads " << threads);
+      ExactOptions options;
+      options.num_threads = threads;
+      AnalysisSession session(std::make_shared<const Trace>(trace), options);
+      const std::vector<bool> answers = session.query_batch(queries);
+      EXPECT_EQ(session.stats().sweeps, 2u);
+      EXPECT_EQ(session.stats().computations, 2u);
+      EXPECT_EQ(answers, single_answers(trace, queries, options));
+      const auto report = session.races(RaceDetector::kExact);
+      expect_same_races(*report, detect_races_exact(trace, options));
+      EXPECT_EQ(session.stats().sweeps,
+                class_sweep_carries_races(trace, options) ? 2u : 3u);
+      // A second, warm batch starts no sweep.
+      EXPECT_EQ(session.query_batch(queries), answers);
+      EXPECT_EQ(session.stats().sweeps,
+                class_sweep_carries_races(trace, options) ? 2u : 3u);
+    }
+  }
+}
+
 TEST(AnalysisSession, WarmMemoNeverAbsorbsTruncatedValues) {
   // The session's serial, unreduced feasibility and coexistence sweeps
   // share its warm completability memo (reduction = kOff keeps the
@@ -698,6 +808,65 @@ TEST(ServiceCoalescing, CausalIntervalAndRaceRequestsShareOneClassSweep) {
         ASSERT_NE(reports[slot], nullptr);
         expect_same_races(*reports[slot], races);
         break;
+    }
+  }
+}
+
+TEST(ServiceCoalescing, ConcurrentBatchesAndPairQueriesShareTwoSweeps) {
+  // Batches (whose interleaving sweep may run on a helper thread), single
+  // pair queries and interleaving requests race on one cold session:
+  // every claim coalesces, so exactly the two sweeps run.
+  const Trace trace = small_cold_trace(2);
+  AnalysisSession baseline(std::make_shared<const Trace>(trace));
+  baseline.relations(Semantics::kInterleaving);
+  baseline.relations(Semantics::kCausal);
+  const std::uint64_t two_sweeps_states = baseline.stats().states_explored;
+
+  const std::vector<PairQuery> queries = every_pair_batch(trace);
+  const std::vector<bool> expected = single_answers(trace, queries);
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  constexpr int kThreads = 8;
+  std::vector<std::vector<bool>> answers(kThreads);
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        auto& mine = answers[static_cast<std::size_t>(i)];
+        switch (i % 3) {
+          case 0:
+            mine = session.query_batch(queries);
+            break;
+          case 1:
+            // Every 7th query, one at a time.
+            for (std::size_t q = static_cast<std::size_t>(i);
+                 q < queries.size(); q += 7) {
+              mine.push_back(session.pair_query(queries[q]));
+            }
+            break;
+          default:
+            session.relations(Semantics::kInterleaving);
+            break;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.sweeps, 2u);
+  EXPECT_EQ(stats.computations, 2u);
+  EXPECT_EQ(stats.states_explored, two_sweeps_states);
+  for (int i = 0; i < kThreads; ++i) {
+    const auto& mine = answers[static_cast<std::size_t>(i)];
+    if (i % 3 == 0) {
+      EXPECT_EQ(mine, expected) << "batch thread " << i;
+    } else if (i % 3 == 1) {
+      std::size_t k = 0;
+      for (std::size_t q = static_cast<std::size_t>(i); q < queries.size();
+           q += 7, ++k) {
+        ASSERT_LT(k, mine.size());
+        EXPECT_EQ(mine[k], expected[q]) << "pair thread " << i << " query " << q;
+      }
     }
   }
 }
@@ -894,6 +1063,31 @@ TEST(ServiceEquivalence, FaultInjectedAnswersMatchFreshAndAreNotCached) {
   EXPECT_EQ(session.stats().computations, 2u);
   const auto hit = session.relations(Semantics::kInterleaving);
   EXPECT_EQ(exact.get(), hit.get());
+}
+
+TEST(ServiceEquivalence, DeadlineFaultDuringOverlappedBatchCachesNothing) {
+  // The deadline fault trips on the process-wide state count, so both
+  // overlapped sweeps of the batch see it.  The batch must still return,
+  // leave no truncated entry behind, and an unfaulted batch afterwards
+  // must answer exactly.
+  const Trace trace = small_cold_trace(4);
+  const std::vector<PairQuery> queries = every_pair_batch(trace);
+  fault::FaultPlan plan;
+  plan.kind = fault::FaultKind::kDeadlineAtState;
+  plan.threshold = 16;
+
+  AnalysisSession session(std::make_shared<const Trace>(trace));
+  {
+    fault::ScopedFaultPlan scope(plan);
+    const std::vector<bool> faulted = session.query_batch(queries);
+    EXPECT_EQ(faulted.size(), queries.size());
+    EXPECT_TRUE(fault::tripped());
+  }
+  EXPECT_EQ(session.stats().sweeps, 2u);
+  for (const Semantics s : kAllSemantics) {
+    EXPECT_FALSE(session.relations(s)->truncated) << to_string(s);
+  }
+  EXPECT_EQ(session.query_batch(queries), single_answers(trace, queries));
 }
 
 // ---------------------------------------------------------- eviction path
