@@ -10,12 +10,17 @@
 //     exercised at state-space (Engine A) cost.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "bench_common.hpp"
 #include "feasible/deadlock.hpp"
 #include "feasible/schedule_space.hpp"
 #include "reductions/reduction.hpp"
 #include "search/fingerprint_set.hpp"
 #include "util/check.hpp"
+#include "util/hash.hpp"
 #include "util/timer.hpp"
 #include "workload/generators.hpp"
 
@@ -272,6 +277,84 @@ std::vector<JsonRecord> run_deadlock_thread_sweep() {
       });
 }
 
+// State-store micro rows (appended to BENCH_search.json as
+// engine=registry_micro): one key -> bool memo store per case, filled
+// with 1k/4k/16k distinct keys, then probed with every stored key and
+// as many absent ones.  Cases: 64-bit hash keys at 1 and 16 shards, and
+// 30-bit exact packed keys at 1 shard, all unsynchronized so the rows
+// time the table rather than the shard mutex.  Each phase reports its
+// fastest repetition; every repetition checks the distinct count, that
+// each hit hits with its value, that each miss misses, and that bytes()
+// equals the accountant's charge.  No timing gate.
+std::vector<JsonRecord> run_registry_micro() {
+  struct Case {
+    const char* keys;
+    std::uint32_t key_bits;
+    std::size_t shards;
+  };
+  const Case cases[] = {{"hash64", 64, 1}, {"hash64", 64, 16},
+                        {"exact30", 30, 1}};
+  std::vector<JsonRecord> rows;
+  for (const Case& c : cases) {
+    for (const std::uint64_t n : {1024u, 4096u, 16384u}) {
+      const auto key = [&](std::uint64_t i) {
+        return c.key_bits == 64 ? splitmix64(i + 1)
+                                : (i * 0x9e3779b1u) & ((1u << 30) - 1);
+      };
+      std::vector<std::uint64_t> keys(2 * n);
+      for (std::uint64_t i = 0; i < 2 * n; ++i) keys[i] = key(i);
+      search::PackedStateRegistry::Config cfg;
+      cfg.num_shards = c.shards;
+      cfg.verify_collisions = false;
+      cfg.key_bits = c.key_bits;
+      cfg.exact_keys = c.key_bits < 64;
+      cfg.synchronized = false;
+      double best[3] = {1e30, 1e30, 1e30};
+      std::uint64_t bytes = 0;
+      const std::uint64_t reps = std::max<std::uint64_t>(5, 2'000'000 / n);
+      for (std::uint64_t rep = 0; rep < reps; ++rep) {
+        search::FingerprintBoolMap memo(cfg);
+        search::MemoryAccountant acc;
+        memo.set_accountant(&acc);
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        Timer insert_timer;
+        for (std::uint64_t i = 0; i < n; ++i) memo.store(keys[i], (i & 1) != 0);
+        best[0] = std::min(best[0], insert_timer.seconds());
+        Timer hit_timer;
+        for (std::uint64_t i = 0; i < n; ++i) {
+          bool value = false;
+          hits += memo.lookup(keys[i], &value) && value == ((i & 1) != 0);
+        }
+        best[1] = std::min(best[1], hit_timer.seconds());
+        Timer miss_timer;
+        for (std::uint64_t i = n; i < 2 * n; ++i) {
+          bool value = false;
+          misses += !memo.lookup(keys[i], &value);
+        }
+        best[2] = std::min(best[2], miss_timer.seconds());
+        EVORD_CHECK(memo.size() == n && hits == n && misses == n,
+                    "registry micro: store answers disagree with its keys");
+        EVORD_CHECK(memo.bytes() == acc.bytes(),
+                    "registry micro: bytes() differs from the charge");
+        bytes = memo.bytes();
+      }
+      const double per = 1e9 / static_cast<double>(n);
+      rows.push_back(JsonRecord{}
+                         .add("engine", std::string("registry_micro"))
+                         .add("keys", std::string(c.keys))
+                         .add("shards", static_cast<std::uint64_t>(c.shards))
+                         .add("distinct", n)
+                         .add("ns_per_insert", best[0] * per)
+                         .add("ns_per_hit", best[1] * per)
+                         .add("ns_per_miss", best[2] * per)
+                         .add("bytes_per_key", static_cast<double>(bytes) /
+                                                   static_cast<double>(n)));
+    }
+  }
+  return rows;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -284,6 +367,9 @@ int main(int argc, char** argv) {
     rows.push_back(std::move(row));
   }
   for (JsonRecord& row : run_deadlock_thread_sweep()) {
+    rows.push_back(std::move(row));
+  }
+  for (JsonRecord& row : run_registry_micro()) {
     rows.push_back(std::move(row));
   }
   if (!append_json_records("BENCH_search.json", rows)) {

@@ -12,12 +12,14 @@
 // Both are sharded with one mutex per shard, so the root-split parallel
 // engine's workers share one store with minimal contention; the same
 // types serve the serial engines (the map can skip locking entirely
-// when constructed unsynchronized).  Keys are quotiented and bit-packed
-// (see PackedStateRegistry), so a retained state costs a fraction of
-// the historical 8/9 bytes; with exact packed keys (Config::exact_keys)
-// the stores dedup collision-free.  With Config::spill and a byte
-// budget attached, cold shards spill to an mmap-backed temp file
-// instead of stopping the search with StopReason::kMemory.
+// when constructed unsynchronized).  Keys are quotiented into one flat,
+// linearly probed table of bit-packed slots per shard (see
+// PackedStateRegistry): a lookup is a short robin-hood probe, and with
+// exact packed keys (Config::exact_keys) a retained state costs ~4-6
+// bytes and dedups collision-free; 64-bit hash keys cost ~13-15 bytes.
+// With Config::spill and a byte budget attached, cold shards spill to an
+// mmap-backed temp file instead of stopping the search with
+// StopReason::kMemory.
 //
 // Collision safety net: with `verify_collisions` on (the default in
 // !NDEBUG builds) the full word payload of each state key is retained
@@ -26,8 +28,8 @@
 // CheckError instead of silently pruning an unexplored state or reusing
 // a wrong memo value.
 // Memory accounting: attach a MemoryAccountant (search/memory.hpp) via
-// set_accountant() and the store's real heap footprint (bucket arrays,
-// packed entry words, retained payloads) is charged as it grows.  The
+// set_accountant() and the store's real heap footprint (slot tables,
+// retained payloads) is charged as it grows.  The
 // deterministic fault layer (util/fault.hpp, kStoreFailAt) can make the
 // K-th insertion "fail": the store then force-exhausts the accountant,
 // so the owning search stops with StopReason::kMemory exactly as if the
@@ -49,8 +51,8 @@ using ShardedFingerprintSet = PackedStateRegistry;
 /// exact packed keys when the trace's whole scheduling state fits one
 /// 64-bit word AND the search runs unreduced with no tracker state in
 /// the dedup key (`pure_state_key`) — the store then dedups
-/// collision-free on key_bits, storing each state in a fraction of 8
-/// bytes.  Collision verification is dropped when keys are exact (no
+/// collision-free on key_bits, storing each state in ~4-6 of the
+/// nominal 8 bytes.  Collision verification is dropped when keys are exact (no
 /// collisions exist) or when spilling (payload retention would defeat
 /// the byte budget).
 inline PackedStateRegistry::Config make_store_config(

@@ -152,50 +152,35 @@ void ConstBitRow::append_words(std::vector<std::uint64_t>& out) const {
 
 namespace {
 
-constexpr std::uint64_t kTargetFill = 64;  ///< avg entries/bucket before grow
 constexpr std::uint64_t kSpillFloorBytes = 4096;  ///< don't spill near-empty
+// A slot's low 4 bits hold its displacement + 1, so 0 marks an empty
+// slot and no entry may sit more than kMaxDisp slots past its home.
+constexpr std::uint64_t kMetaMask = 15;
+constexpr std::uint32_t kMaxDisp = 14;
 
 std::uint64_t mask_bits(std::uint32_t bits) noexcept {
   return bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
 }
 
-/// Reads `width` bits at absolute bit offset `bit` (width <= 64; the
-/// word vector is sized so the read never runs past the end).
-std::uint64_t read_bits(const std::vector<std::uint64_t>& words,
-                        std::uint64_t bit, std::uint32_t width) noexcept {
-  if (width == 0) return 0;
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
+// Slot i of a `width`-bit table occupies bits [i*width, (i+1)*width).
+// The table carries one pad word, so the second word always exists, and
+// the split shifts `(x << 1) << (63 - bo)` stay below 64 when bo == 0.
+std::uint64_t read_slot(const std::uint64_t* t, std::uint64_t i,
+                        std::uint32_t width) noexcept {
+  const std::uint64_t bit = i * width;
+  const std::uint64_t* w = t + (bit >> 6);
   const std::uint32_t bo = static_cast<std::uint32_t>(bit & 63u);
-  std::uint64_t v = words[wi] >> bo;
-  if (bo + width > 64) v |= words[wi + 1] << (64 - bo);
-  return v & mask_bits(width);
+  return ((w[0] >> bo) | ((w[1] << 1) << (63 - bo))) & mask_bits(width);
 }
 
-void write_bits(std::vector<std::uint64_t>& words, std::uint64_t bit,
-                std::uint32_t width, std::uint64_t value) noexcept {
-  if (width == 0) return;
+void write_slot(std::uint64_t* t, std::uint64_t i, std::uint32_t width,
+                std::uint64_t slot) noexcept {
+  const std::uint64_t bit = i * width;
+  std::uint64_t* w = t + (bit >> 6);
+  const std::uint32_t bo = static_cast<std::uint32_t>(bit & 63u);
   const std::uint64_t mask = mask_bits(width);
-  const std::size_t wi = static_cast<std::size_t>(bit >> 6);
-  const std::uint32_t bo = static_cast<std::uint32_t>(bit & 63u);
-  words[wi] = (words[wi] & ~(mask << bo)) | ((value & mask) << bo);
-  if (bo + width > 64) {
-    const std::uint64_t hi_mask = mask >> (64 - bo);
-    words[wi + 1] = (words[wi + 1] & ~hi_mask) | ((value & mask) >> (64 - bo));
-  }
-}
-
-/// Appends one `width`-bit entry with exact (reserve-then-resize) word
-/// growth, so resident bytes track the live entries tightly.
-void raw_append(std::vector<std::uint64_t>& words, std::uint32_t count,
-                std::uint32_t width, std::uint64_t entry) {
-  const std::uint64_t end_bit =
-      (static_cast<std::uint64_t>(count) + 1) * width;
-  const std::size_t need = static_cast<std::size_t>((end_bit + 63) / 64);
-  if (need > words.size()) {
-    if (need > words.capacity()) words.reserve(need);
-    words.resize(need, 0);
-  }
-  write_bits(words, static_cast<std::uint64_t>(count) * width, width, entry);
+  w[0] = (w[0] & ~(mask << bo)) | (slot << bo);
+  w[1] = (w[1] & ~((mask >> 1) >> (63 - bo))) | ((slot >> 1) >> (63 - bo));
 }
 
 }  // namespace
@@ -215,20 +200,13 @@ PackedStateRegistry::PackedStateRegistry(Config config)
     n = std::size_t{1} << sb;
   }
   shard_bits_ = sb;
-  max_bucket_bits_ = key_bits_ - shard_bits_;
-  // Entries must fit one 64-bit read: rem_bits + value_bits <= 64.
-  init_bucket_bits_ = 0;
-  while (key_bits_ - shard_bits_ - init_bucket_bits_ + value_bits_ > 64) {
-    ++init_bucket_bits_;
-  }
+  quotient_bits_ = key_bits_ - shard_bits_;
+  // Slots must fit one 64-bit read: remainder + value + 4 meta bits.
+  const std::uint32_t wide = quotient_bits_ + value_bits_ + 4;
+  min_home_bits_ = wide > 64 ? wide - 64 : 0;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
-    Shard& s = *shards_.back();
-    s.bucket_bits = init_bucket_bits_;
-    s.buckets.resize(std::size_t{1} << init_bucket_bits_);
-    s.resident_bytes = shard_heap_bytes(s);
-    charged_.fetch_add(s.resident_bytes, std::memory_order_relaxed);
   }
 }
 
@@ -249,7 +227,7 @@ std::uint64_t PackedStateRegistry::mix(std::uint64_t key) const noexcept {
   if (key_bits_ >= 64) return splitmix64(key);
   // Invertible mix within key_bits: odd multiplications mod 2^bits and
   // xorshifts are bijections, so distinct keys stay distinct and the
-  // full key is recoverable from shard + bucket + remainder bits.
+  // full key is recoverable from shard + home + remainder bits.
   const std::uint64_t mask = mask_bits(key_bits_);
   const std::uint32_t h = (key_bits_ + 1) / 2;
   std::uint64_t x = key & mask;
@@ -261,32 +239,144 @@ std::uint64_t PackedStateRegistry::mix(std::uint64_t key) const noexcept {
   return x;
 }
 
-std::int64_t PackedStateRegistry::find_in_bucket(
-    const Bucket& b, std::uint64_t rem, std::uint32_t width,
-    std::uint32_t value_bits) noexcept {
-  for (std::uint32_t i = 0; i < b.count; ++i) {
-    const std::uint64_t e =
-        read_bits(b.words, static_cast<std::uint64_t>(i) * width, width);
-    if ((e >> value_bits) == rem) return i;
+PackedStateRegistry::Probe PackedStateRegistry::probe(
+    const Shard& s, std::uint64_t v) const noexcept {
+  if (s.table.empty()) return {};
+  // home_bits >= 1 unless quotient_bits_ == 0, so the shift is < 64.
+  const std::uint32_t rb = quotient_bits_ - s.home_bits;
+  const std::uint32_t width = slot_width(s.home_bits);
+  const std::uint64_t cmask = mask_bits(s.home_bits);
+  const std::uint64_t home = v >> rb;
+  const std::uint64_t rem = v & mask_bits(rb);
+  // Runs are sorted by (home, remainder): the key is absent once a slot
+  // is empty, belongs to a later home (smaller displacement), or holds
+  // a larger remainder of the same home.
+  for (std::uint32_t d = 0; d <= kMaxDisp; ++d) {
+    const std::uint64_t pos = (home + d) & cmask;
+    const std::uint64_t e = read_slot(s.table.data(), pos, width);
+    const std::uint64_t meta = e & kMetaMask;
+    if (meta < d + 1) return {pos, d, false, 0};
+    if (meta == d + 1) {
+      const std::uint64_t er = e >> (4 + value_bits_);
+      if (er == rem) return {pos, d, true, e};
+      if (er > rem) return {pos, d, false, 0};
+    }
   }
-  return -1;
+  return {0, kMaxDisp + 1, false, 0};
 }
 
-std::uint64_t PackedStateRegistry::read_entry(const Bucket& b,
-                                              std::uint64_t idx,
-                                              std::uint32_t width) noexcept {
-  return read_bits(b.words, idx * width, width);
+bool PackedStateRegistry::shift_in(Shard& s, const Probe& p,
+                                   std::uint64_t slot) noexcept {
+  if (p.disp > kMaxDisp) return false;
+  const std::uint32_t width = slot_width(s.home_bits);
+  const std::uint64_t cmask = mask_bits(s.home_bits);
+  std::uint64_t* t = s.table.data();
+  // Carry each entry of the run one slot right (displacement + 1) until
+  // an empty slot takes the last one; the table always keeps one empty
+  // slot below its largest size, where every key owns its home slot.
+  std::uint64_t carry = slot | (p.disp + 1);
+  std::uint64_t i = p.pos;
+  for (;; i = (i + 1) & cmask) {
+    const std::uint64_t e = read_slot(t, i, width);
+    if ((e & kMetaMask) == kMetaMask) break;  // displacement overflow
+    write_slot(t, i, width, carry);
+    if ((e & kMetaMask) == 0) return true;
+    carry = e + 1;
+  }
+  // Undo: move the carried entries back one slot left.
+  for (std::uint64_t j = i; j != p.pos;) {
+    j = (j - 1) & cmask;
+    const std::uint64_t moved = read_slot(t, j, width);
+    write_slot(t, j, width, carry - 1);
+    carry = moved;
+  }
+  return false;
 }
 
-std::uint64_t PackedStateRegistry::shard_heap_bytes(
-    const Shard& s) const noexcept {
-  std::uint64_t b = s.buckets.capacity() * sizeof(Bucket);
-  for (const Bucket& bk : s.buckets) b += bk.words.capacity() * 8;
-  return b;
+void PackedStateRegistry::place(Shard& s, std::uint64_t v,
+                                std::uint64_t value, Probe p) {
+  const std::uint64_t slots = std::uint64_t{1} << s.home_bits;
+  bool grow_now = s.table.empty() || (s.home_bits < quotient_bits_ &&
+                                      (s.resident_count + 1) * 8 > slots * 7);
+  // A doubling transiently triples this shard's footprint.  Near the
+  // budget it is skipped while an empty slot remains (probe runs grow,
+  // results are unaffected), so the overshoot past the limit stays
+  // small; a displacement overflow still forces it.
+  if (grow_now && !s.table.empty() && s.resident_count + 1 < slots &&
+      accountant_ != nullptr && accountant_->limit() != 0 &&
+      accountant_->bytes() + s.resident_bytes >= accountant_->limit()) {
+    grow_now = false;
+  }
+  for (;; grow_now = true) {
+    if (grow_now) {
+      grow(s, s.table.empty()
+                  ? std::max(min_home_bits_, std::min(1u, quotient_bits_))
+                  : s.home_bits + 1);
+      p = probe(s, v);
+    }
+    const std::uint64_t rem = v & mask_bits(quotient_bits_ - s.home_bits);
+    if (shift_in(s, p, (rem << (4 + value_bits_)) | (value << 4))) break;
+  }
+  ++s.count;
+  ++s.resident_count;
+}
+
+bool PackedStateRegistry::rebuild(const Shard& s,
+                                  std::vector<std::uint64_t>& table,
+                                  std::uint32_t home_bits) const noexcept {
+  const std::uint32_t k = home_bits - s.home_bits;
+  const std::uint32_t rb = quotient_bits_ - home_bits;
+  const std::uint32_t old_w = slot_width(s.home_bits);
+  const std::uint32_t new_w = slot_width(home_bits);
+  const std::uint64_t old_mask = mask_bits(s.home_bits);
+  const std::uint64_t new_mask = mask_bits(home_bits);
+  const std::uint64_t* t = s.table.data();
+  // Walk the old table once, from just past an empty slot: entries come
+  // out sorted by (home, remainder), and a new home is the old one
+  // extended by the remainder's top k bits, so each entry lands at
+  // max(new home, previous slot + 1).  Positions are kept relative to
+  // the walk's first home, so runs may wrap past the last slot.
+  std::uint64_t start = 0;
+  while ((read_slot(t, start, old_w) & kMetaMask) != 0) ++start;
+  const std::uint64_t base = ((start + 1) & old_mask) << k;
+  std::uint64_t next = 0;
+  for (std::uint64_t j = 1; j <= old_mask + 1; ++j) {
+    const std::uint64_t i = (start + j) & old_mask;
+    const std::uint64_t e = read_slot(t, i, old_w);
+    const std::uint64_t meta = e & kMetaMask;
+    if (meta == 0) continue;
+    const std::uint64_t home = (i - (meta - 1)) & old_mask;
+    const std::uint64_t rem = e >> (4 + value_bits_);
+    const std::uint64_t new_home =
+        (((home << k) | (rem >> rb)) - base) & new_mask;
+    const std::uint64_t at = std::max(new_home, next);
+    if (at - new_home > kMaxDisp || at > new_mask) return false;
+    write_slot(table.data(), (base + at) & new_mask, new_w,
+               ((rem & mask_bits(rb)) << (4 + value_bits_)) |
+                   (e & (mask_bits(value_bits_) << 4)) |
+                   (at - new_home + 1));
+    next = at + 1;
+  }
+  return true;
+}
+
+void PackedStateRegistry::grow(Shard& s, std::uint32_t home_bits) {
+  for (;; ++home_bits) {
+    EVORD_DCHECK(home_bits <= quotient_bits_, "slot table cannot grow");
+    const std::uint64_t bits = std::uint64_t{slot_width(home_bits)}
+                               << home_bits;
+    std::vector<std::uint64_t> table((bits + 63) / 64 + 1, 0);  // + pad
+    if (s.table.empty() || rebuild(s, table, home_bits)) {
+      s.table = std::move(table);
+      s.home_bits = home_bits;
+      break;
+    }
+  }
+  recount_shard_bytes(s);
 }
 
 void PackedStateRegistry::recount_shard_bytes(Shard& s) noexcept {
-  const std::uint64_t now = shard_heap_bytes(s);
+  const std::uint64_t now = s.table.capacity() * 8;
   if (now >= s.resident_bytes) {
     const std::uint64_t d = now - s.resident_bytes;
     charged_.fetch_add(d, std::memory_order_relaxed);
@@ -297,55 +387,6 @@ void PackedStateRegistry::recount_shard_bytes(Shard& s) noexcept {
     if (accountant_ != nullptr) accountant_->release(d);
   }
   s.resident_bytes = now;
-}
-
-void PackedStateRegistry::append_entry(Shard& s, Bucket& b,
-                                       std::uint64_t entry) {
-  const std::uint32_t w = entry_width(s);
-  const std::size_t old_cap = b.words.capacity();
-  raw_append(b.words, b.count, w, entry);
-  ++b.count;
-  if (b.words.capacity() != old_cap) {
-    const std::uint64_t d = (b.words.capacity() - old_cap) * 8;
-    s.resident_bytes += d;
-    charged_.fetch_add(d, std::memory_order_relaxed);
-    if (accountant_ != nullptr) accountant_->charge(d);
-  }
-}
-
-void PackedStateRegistry::maybe_grow(Shard& s) {
-  if (s.bucket_bits >= max_bucket_bits_) return;
-  const std::uint64_t buckets = std::uint64_t{1} << s.bucket_bits;
-  if (s.resident_count + 1 <= kTargetFill * buckets) return;
-  if (accountant_ != nullptr && accountant_->limit() != 0) {
-    // A rehash transiently ~doubles this shard's footprint.  Near the
-    // budget we skip it (scans lengthen, results are unaffected) so the
-    // memory overshoot past the limit stays small.
-    if (accountant_->bytes() + shard_heap_bytes(s) >= accountant_->limit()) {
-      return;
-    }
-  }
-  const std::uint32_t old_w = entry_width(s);
-  const std::uint32_t old_bb = s.bucket_bits;
-  const std::uint32_t new_w = old_w - 1;
-  std::vector<Bucket> grown(std::size_t{1} << (old_bb + 1));
-  const std::uint64_t vmask = mask_bits(value_bits_);
-  for (std::size_t bi = 0; bi < s.buckets.size(); ++bi) {
-    const Bucket& ob = s.buckets[bi];
-    for (std::uint32_t i = 0; i < ob.count; ++i) {
-      const std::uint64_t e = read_entry(ob, i, old_w);
-      const std::uint64_t value = e & vmask;
-      const std::uint64_t rem = e >> value_bits_;
-      // One remainder bit moves into the bucket index.
-      Bucket& nb = grown[bi | ((rem & 1) << old_bb)];
-      raw_append(nb.words, nb.count, new_w,
-                 ((rem >> 1) << value_bits_) | value);
-      ++nb.count;
-    }
-  }
-  s.buckets = std::move(grown);
-  s.bucket_bits = old_bb + 1;
-  recount_shard_bytes(s);
 }
 
 void PackedStateRegistry::check_payload(
@@ -383,6 +424,18 @@ bool PackedStateRegistry::find_in_runs(const Shard& s, std::uint64_t mixed,
 
 bool PackedStateRegistry::insert(std::uint64_t key,
                                  const std::vector<std::uint64_t>* payload) {
+  EVORD_DCHECK(value_bits_ == 0, "insert() is for membership stores");
+  return put(key, 0, payload);
+}
+
+bool PackedStateRegistry::store(std::uint64_t key, bool value,
+                                const std::vector<std::uint64_t>* payload) {
+  EVORD_DCHECK(value_bits_ == 1, "store() requires a value bit");
+  return put(key, value ? 1 : 0, payload);
+}
+
+bool PackedStateRegistry::put(std::uint64_t key, std::uint64_t value,
+                              const std::vector<std::uint64_t>* payload) {
   if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
     // Injected insertion failure: the store refuses to grow, surfaced
     // through the governed memory path (StopReason::kMemory).
@@ -396,63 +449,17 @@ bool PackedStateRegistry::insert(std::uint64_t key,
   {
     std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
     if (synchronized_) lock.lock();
-    if (!find_in_runs(s, mixed, nullptr)) {
-      const std::uint32_t w = entry_width(s);
-      const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-      const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-      if (find_in_bucket(s.buckets[bi], rem, w, value_bits_) < 0) {
-        maybe_grow(s);
-        const std::uint64_t bi2 =
-            (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-        const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-        append_entry(s, s.buckets[bi2], rem2 << value_bits_);
-        ++s.count;
-        ++s.resident_count;
-        inserted = true;
-      }
-    }
-    check_payload(s, key, inserted, payload);
-  }
-  if (spill_) maybe_spill();
-  return inserted;
-}
-
-bool PackedStateRegistry::store(std::uint64_t key, bool value,
-                                const std::vector<std::uint64_t>* payload) {
-  EVORD_DCHECK(value_bits_ == 1, "store() requires a value bit");
-  if (fault::enabled() && fault::on_store_insert() && accountant_ != nullptr) {
-    accountant_->exhaust();
-  }
-  const std::uint64_t mixed = mix(key);
-  Shard& s = *shards_[mixed & mask_bits(shard_bits_)];
-  bool inserted = false;
-  {
-    std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
-    if (synchronized_) lock.lock();
     bool spilled_value = false;
     if (find_in_runs(s, mixed, &spilled_value)) {
-      EVORD_CHECK(spilled_value == value,
+      EVORD_CHECK(spilled_value == (value != 0),
                   "memoized value mismatch for fingerprint " << key);
     } else {
-      const std::uint32_t w = entry_width(s);
-      const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-      const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-      const std::int64_t at =
-          find_in_bucket(s.buckets[bi], rem, w, value_bits_);
-      if (at >= 0) {
-        const std::uint64_t e =
-            read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
-        EVORD_CHECK((e & 1u) == static_cast<std::uint64_t>(value),
+      const Probe p = probe(s, mixed >> shard_bits_);
+      if (p.found) {
+        EVORD_CHECK(((p.slot >> 4) & mask_bits(value_bits_)) == value,
                     "memoized value mismatch for fingerprint " << key);
       } else {
-        maybe_grow(s);
-        const std::uint64_t bi2 =
-            (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-        const std::uint64_t rem2 = mixed >> (shard_bits_ + s.bucket_bits);
-        append_entry(s, s.buckets[bi2],
-                     (rem2 << 1) | static_cast<std::uint64_t>(value));
-        ++s.count;
-        ++s.resident_count;
+        place(s, mixed >> shard_bits_, value, p);
         inserted = true;
       }
     }
@@ -475,14 +482,9 @@ bool PackedStateRegistry::lookup(std::uint64_t key, bool* value,
     check_payload(s, key, false, payload);
     return true;
   }
-  const std::uint32_t w = entry_width(s);
-  const std::uint64_t bi = (mixed >> shard_bits_) & mask_bits(s.bucket_bits);
-  const std::uint64_t rem = mixed >> (shard_bits_ + s.bucket_bits);
-  const std::int64_t at = find_in_bucket(s.buckets[bi], rem, w, value_bits_);
-  if (at < 0) return false;
-  const std::uint64_t e =
-      read_entry(s.buckets[bi], static_cast<std::uint64_t>(at), w);
-  *value = (e & 1u) != 0;
+  const Probe p = probe(s, mixed >> shard_bits_);
+  if (!p.found) return false;
+  *value = ((p.slot >> 4) & 1u) != 0;
   check_payload(s, key, false, payload);
   return true;
 }
@@ -561,23 +563,21 @@ void PackedStateRegistry::maybe_spill() {
     std::unique_lock<std::mutex> lock(s.mu, std::defer_lock);
     if (synchronized_) lock.lock();
     if (s.resident_count == 0) continue;
-    const std::uint32_t w = entry_width(s);
+    const std::uint32_t width = slot_width(s.home_bits);
+    const std::uint32_t rb = quotient_bits_ - s.home_bits;
     // Reconstruct the full mixed keys (the mix is invertible, so these
     // are exact) and freeze them as one sorted run.
     std::vector<std::pair<std::uint64_t, std::uint8_t>> entries;
     entries.reserve(s.resident_count);
-    for (std::size_t bi = 0; bi < s.buckets.size(); ++bi) {
-      const Bucket& b = s.buckets[bi];
-      for (std::uint32_t j = 0; j < b.count; ++j) {
-        const std::uint64_t e = read_entry(b, j, w);
-        const std::uint64_t rem = e >> value_bits_;
-        const std::uint64_t mixed = (rem << (shard_bits_ + s.bucket_bits)) |
-                                    (static_cast<std::uint64_t>(bi)
-                                     << shard_bits_) |
-                                    i;
-        entries.emplace_back(mixed,
-                             static_cast<std::uint8_t>(e & mask_bits(value_bits_)));
-      }
+    for (std::uint64_t j = 0; j <= mask_bits(s.home_bits); ++j) {
+      const std::uint64_t e = read_slot(s.table.data(), j, width);
+      const std::uint64_t meta = e & kMetaMask;
+      if (meta == 0) continue;
+      const std::uint64_t home = (j - (meta - 1)) & mask_bits(s.home_bits);
+      const std::uint64_t v = (home << rb) | (e >> (4 + value_bits_));
+      entries.emplace_back((v << shard_bits_) | i,
+                           static_cast<std::uint8_t>((e >> 4) &
+                                                     mask_bits(value_bits_)));
     }
     std::sort(entries.begin(), entries.end());
     std::vector<std::uint64_t> keys;
@@ -599,9 +599,8 @@ void PackedStateRegistry::maybe_spill() {
     spilled_bytes_.fetch_add(written, std::memory_order_relaxed);
     // Restart the shard empty; the spilled entries answer membership
     // from the mapped run.
-    s.buckets.assign(std::size_t{1} << init_bucket_bits_, Bucket{});
-    s.buckets.shrink_to_fit();
-    s.bucket_bits = init_bucket_bits_;
+    std::vector<std::uint64_t>().swap(s.table);
+    s.home_bits = 0;
     s.resident_count = 0;
     recount_shard_bytes(s);
   }

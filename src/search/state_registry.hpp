@@ -23,29 +23,30 @@
 //
 //   * PackedStateRegistry — the sharded state store behind
 //     ShardedFingerprintSet / FingerprintBoolMap.  Keys are quotiented:
-//     an invertible mix of the key's low key_bits selects shard and
-//     bucket from its low bits, and only the remaining
-//     (key_bits - shard_bits - bucket_bits) remainder bits are stored,
-//     bit-packed into per-bucket arrays.  With exact single-word keys
-//     this stores states at a fraction of the historical 8 bytes each;
-//     with 64-bit hash fingerprints it still undercuts the old
-//     unordered_set node overhead.  Buckets double (one remainder bit
-//     moves into the bucket index) when average fill passes a
-//     threshold, so lookups stay short scans of packed words.
+//     an invertible mix of the key's low key_bits picks the shard from
+//     its low bits; each shard keeps ONE flat array of fixed-width
+//     bit-packed slots, allocated on the shard's first insert, whose
+//     home slot is the top home_bits of the rest.  A slot stores only
+//     the remaining remainder bits, the value bit and 4 bits of
+//     robin-hood displacement (0 = empty), so the full key is
+//     rebuildable for growth and spill.  Probe runs stay sorted by
+//     (home, remainder), so lookups stop early and a doubling is one
+//     linear pass; the table doubles when its load passes 7/8 or when
+//     a displacement would overflow its 4 bits.
 //
 //     Tiered spill: with spill enabled and a MemoryAccountant attached,
 //     reaching ~90% of the byte budget freezes every shard's resident
 //     entries into a sorted run of full-width keys in an unlinked
 //     mmap-backed temp file, releases the RAM charges, and restarts the
 //     shards empty; membership checks consult the mapped runs (binary
-//     search) before the resident buckets.  Results are bit-identical
+//     search) before the resident tables.  Results are bit-identical
 //     to an unbudgeted run — spilling changes where entries live, never
 //     what is or is not a duplicate.  With spill off (the default) the
 //     store behaves exactly as before: the accountant trips and the
 //     search stops with StopReason::kMemory.
 //
 // Memory accounting is real: bytes() reports the store's actual heap
-// footprint (bucket arrays + packed words + retained debug payloads),
+// footprint (slot tables + retained debug payloads),
 // and the attached accountant is charged/released the same deltas.
 #pragma once
 
@@ -412,8 +413,8 @@ class PackedStateRegistry {
   /// Total distinct keys (resident + spilled).  Thread-safe snapshot.
   std::uint64_t size() const;
 
-  /// Actual resident heap bytes (bucket arrays, packed entry words,
-  /// retained debug payloads).  Matches what the accountant was charged.
+  /// Actual resident heap bytes (slot tables, retained debug payloads).
+  /// Matches what the accountant was charged.
   std::uint64_t bytes() const noexcept {
     return charged_.load(std::memory_order_relaxed);
   }
@@ -430,10 +431,6 @@ class PackedStateRegistry {
   std::vector<std::uint64_t> shard_sizes() const;
 
  private:
-  struct Bucket {
-    std::vector<std::uint64_t> words;  ///< entries bit-packed LE
-    std::uint32_t count = 0;
-  };
   struct SpillRun {
     const std::uint64_t* keys = nullptr;  ///< sorted mixed keys (mmap)
     std::uint64_t count = 0;
@@ -441,41 +438,43 @@ class PackedStateRegistry {
   };
   struct Shard {
     mutable std::mutex mu;
-    std::vector<Bucket> buckets;
-    std::uint32_t bucket_bits = 0;
+    std::vector<std::uint64_t> table;  ///< packed slots + 1 pad word
+    std::uint32_t home_bits = 0;       ///< table holds 2^home_bits slots
     std::uint64_t count = 0;           ///< distinct keys, resident + spilled
-    std::uint64_t resident_count = 0;  ///< keys currently in the buckets
-    std::uint64_t resident_bytes = 0;  ///< tracked bucket heap bytes
+    std::uint64_t resident_count = 0;  ///< keys currently in the table
+    std::uint64_t resident_bytes = 0;  ///< tracked table heap bytes
     std::uint64_t payload_bytes = 0;   ///< retained debug payload bytes
     std::vector<SpillRun> runs;
     /// Populated only in collision-verification mode.
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> payloads;
   };
+  /// Where a key sits in its shard's table, or where it would go.
+  struct Probe {
+    std::uint64_t pos = 0;
+    std::uint32_t disp = 0;  ///< distance from the home slot
+    bool found = false;
+    std::uint64_t slot = 0;  ///< the slot's contents when found
+  };
 
-  std::uint32_t rem_bits(const Shard& s) const noexcept {
-    return key_bits_ - shard_bits_ - s.bucket_bits;
+  std::uint32_t slot_width(std::uint32_t home_bits) const noexcept {
+    return quotient_bits_ - home_bits + value_bits_ + 4;
   }
-  std::uint32_t entry_width(const Shard& s) const noexcept {
-    return rem_bits(s) + value_bits_;
-  }
-
-  /// Looks up `rem` in `b`; returns the entry index or -1.
-  static std::int64_t find_in_bucket(const Bucket& b, std::uint64_t rem,
-                                     std::uint32_t width,
-                                     std::uint32_t value_bits) noexcept;
-  static std::uint64_t read_entry(const Bucket& b, std::uint64_t idx,
-                                  std::uint32_t width) noexcept;
-  void append_entry(Shard& s, Bucket& b, std::uint64_t entry);
-  void maybe_grow(Shard& s);
-  std::uint64_t shard_heap_bytes(const Shard& s) const noexcept;
+  /// insert()/store(): `value` is 0 for a membership set.
+  bool put(std::uint64_t key, std::uint64_t value,
+           const std::vector<std::uint64_t>* payload);
+  /// `v` is a mixed key without its shard bits.
+  Probe probe(const Shard& s, std::uint64_t v) const noexcept;
+  void place(Shard& s, std::uint64_t v, std::uint64_t value, Probe p);
+  bool shift_in(Shard& s, const Probe& p, std::uint64_t slot) noexcept;
+  void grow(Shard& s, std::uint32_t home_bits);
+  bool rebuild(const Shard& s, std::vector<std::uint64_t>& table,
+               std::uint32_t home_bits) const noexcept;
   void recount_shard_bytes(Shard& s) noexcept;
-  void charge_delta(Shard& s, std::uint64_t new_bytes) noexcept;
 
   /// True (with the result) iff `mixed` is present in a spilled run.
   bool find_in_runs(const Shard& s, std::uint64_t mixed,
                     bool* value) const noexcept;
   void maybe_spill();
-  void spill_shard(Shard& s);
   void check_payload(Shard& s, std::uint64_t key, bool first_insert,
                      const std::vector<std::uint64_t>* payload);
 
@@ -485,8 +484,8 @@ class PackedStateRegistry {
   std::uint32_t shard_bits_ = 0;
   std::uint32_t key_bits_ = 64;
   std::uint32_t value_bits_ = 0;
-  std::uint32_t init_bucket_bits_ = 0;
-  std::uint32_t max_bucket_bits_ = 0;
+  std::uint32_t quotient_bits_ = 0;   ///< key_bits - shard_bits
+  std::uint32_t min_home_bits_ = 0;   ///< keeps slot_width() <= 64
   bool verify_ = false;
   bool exact_keys_ = false;
   bool synchronized_ = true;

@@ -1,9 +1,9 @@
 // Packed state layer tests: layout round-trips against the legacy key
 // encoding, incremental maintenance vs. from-scratch encoding, registry
-// semantics (quotiented keys, exact mode, bucket growth) against
-// reference containers, the spill tier's bit-identity contract, the
-// 64x64 transpose kernel, the PerStateBitset row arena, and the masked
-// persistent-set fast path.
+// semantics (quotiented keys, exact mode, flat-table growth) against
+// reference containers, a store fault on a growing insertion, the spill
+// tier's bit-identity contract, the 64x64 transpose kernel, the
+// PerStateBitset row arena, and the masked persistent-set fast path.
 #include <algorithm>
 #include <cstdint>
 #include <unordered_map>
@@ -20,6 +20,8 @@
 #include "search/independence.hpp"
 #include "search/state_registry.hpp"
 #include "trace/builder.hpp"
+#include "util/fault.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace evord {
@@ -138,14 +140,14 @@ TEST(PackedLayout, EncodeKeyReusesTheCallerBuffer) {
 // ----------------------------------------------------------------------
 // Registry semantics against reference containers.
 
-TEST(PackedRegistry, MatchesUnorderedSetThroughBucketDoubling) {
+TEST(PackedRegistry, MatchesUnorderedSetThroughTableDoubling) {
   Rng rng(123);
   PackedStateRegistry::Config cfg;
   cfg.num_shards = 4;
   cfg.verify_collisions = false;
   PackedStateRegistry set(cfg);
   std::unordered_set<std::uint64_t> ref;
-  // Enough inserts to force several bucket doublings per shard, with a
+  // Enough inserts to force several table doublings per shard, with a
   // duplicate-heavy key stream.
   for (int i = 0; i < 20000; ++i) {
     const std::uint64_t key = rng.next() % 6000;
@@ -197,6 +199,175 @@ TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
     }
   }
   EXPECT_EQ(memo.size(), ref.size());
+}
+
+// Drives one registry and a reference map through the same stream:
+// growth from the first (smallest) table, a dense key space, idempotent
+// and conflicting re-stores, and, with spill on, spills mid-stream, after
+// which every key is queried again.  Hundreds of small tables filled
+// up to 7/8 make probe runs that wrap past the last slot routine, also
+// at the moment a shard spills.
+void check_flat_table(std::uint32_t key_bits, std::size_t shards,
+                      std::uint32_t value_bits, bool verify) {
+  SCOPED_TRACE("key_bits=" + std::to_string(key_bits) +
+               " shards=" + std::to_string(shards) +
+               " value_bits=" + std::to_string(value_bits) +
+               " verify=" + std::to_string(verify));
+  PackedStateRegistry::Config cfg;
+  cfg.num_shards = shards;
+  cfg.verify_collisions = verify;
+  cfg.key_bits = key_bits;
+  cfg.exact_keys = key_bits < 64;
+  cfg.value_bits = value_bits;
+  // Payload retention is never released by a spill, so (as in
+  // make_store_config) only unverified stores spill.
+  cfg.spill = !verify && key_bits >= 13;
+  PackedStateRegistry reg(cfg);
+  search::MemoryAccountant acc(cfg.spill ? 6000 : 0);
+  reg.set_accountant(&acc);
+  EXPECT_EQ(reg.bytes(), 0u) << "no table before the first insert";
+
+  const std::uint64_t space =
+      key_bits >= 64 ? 0 : std::uint64_t{1} << key_bits;
+  const auto key_of = [&](std::uint64_t i) {
+    return space == 0 ? splitmix64(i) : i % space;
+  };
+  const auto value_of = [](std::uint64_t key) {
+    return (splitmix64(key ^ 0x5bd1e995u) & 1u) != 0;
+  };
+  std::unordered_map<std::uint64_t, bool> ref;
+  // A set answers membership only through insert(), so its "query" of a
+  // key inserts it: the reference follows along.
+  const auto touch = [&](std::uint64_t key) {
+    const std::vector<std::uint64_t> payload{key, ~key};
+    const bool fresh = ref.emplace(key, value_of(key)).second;
+    if (value_bits == 0) {
+      ASSERT_EQ(reg.insert(key, &payload), fresh) << key;
+      return;
+    }
+    bool got = false;
+    ASSERT_EQ(reg.lookup(key, &got, &payload), !fresh) << key;
+    if (!fresh) {
+      ASSERT_EQ(got, value_of(key)) << key;
+    }
+    ASSERT_EQ(reg.store(key, value_of(key), &payload), fresh) << key;
+    ASSERT_FALSE(reg.store(key, value_of(key), &payload)) << key;
+  };
+
+  Rng rng(key_bits * 131 + shards * 7 + value_bits * 3 + verify);
+  const std::uint64_t dense = space != 0 && space <= 8192 ? space : 4096;
+  for (std::uint64_t i = 0; i < 3 * dense; ++i) {
+    touch(key_of(rng.next() % (2 * dense)));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (std::uint64_t i = 0; i < dense; ++i) {
+    touch(key_of(i));  // every key of a tiny space present
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  if (space != 0 && space <= 8192) {
+    EXPECT_EQ(reg.size(), space);
+  }
+  if (value_bits == 1) {
+    const std::uint64_t key = ref.begin()->first;
+    EXPECT_THROW(reg.store(key, !ref.begin()->second), CheckError);
+  }
+  if (cfg.spill && key_bits >= 30) {
+    EXPECT_GT(reg.spill_events(), 0u);
+  }
+  for (const auto& [key, value] : ref) {
+    touch(key);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(reg.size(), ref.size());
+  std::uint64_t shard_total = 0;
+  for (const std::uint64_t n : reg.shard_sizes()) shard_total += n;
+  EXPECT_EQ(shard_total, ref.size());
+  EXPECT_EQ(reg.bytes(), acc.bytes());
+  reg.set_accountant(nullptr);
+  EXPECT_EQ(acc.bytes(), 0u);
+}
+
+TEST(PackedRegistry, FlatTableMatchesStdContainers) {
+  for (const std::uint32_t key_bits : {1u, 3u, 6u, 13u, 30u, 64u}) {
+    for (const std::size_t shards : {1u, 4u, 16u}) {
+      for (const std::uint32_t value_bits : {0u, 1u}) {
+        for (const bool verify : {false, true}) {
+          check_flat_table(key_bits, shards, value_bits, verify);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedRegistry, StoreFailOnGrowingInsertStopsSearchCleanly) {
+  // Registry level: fail the first insertion that doubles a table.  The
+  // insertion still lands, the accountant is exhausted, and the charge
+  // still equals bytes().
+  PackedStateRegistry::Config cfg;
+  cfg.num_shards = 1;
+  cfg.verify_collisions = false;
+  std::uint64_t growing = 0;
+  {
+    PackedStateRegistry dry(cfg);
+    std::uint64_t first_bytes = 0;
+    for (std::uint64_t i = 1; growing == 0; ++i) {
+      dry.insert(splitmix64(i));
+      if (first_bytes == 0) first_bytes = dry.bytes();
+      if (dry.bytes() != first_bytes) growing = i;
+    }
+  }
+  {
+    PackedStateRegistry reg(cfg);
+    search::MemoryAccountant acc(0);
+    reg.set_accountant(&acc);
+    fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStoreFailAt,
+                                  .threshold = growing});
+    for (std::uint64_t i = 1; i <= growing; ++i) {
+      EXPECT_NO_THROW(EXPECT_TRUE(reg.insert(splitmix64(i))));
+    }
+    EXPECT_TRUE(fault::tripped());
+    EXPECT_TRUE(acc.exceeded());
+    EXPECT_EQ(reg.bytes(), acc.bytes());
+    for (std::uint64_t i = 1; i <= growing; ++i) {
+      EXPECT_FALSE(reg.insert(splitmix64(i)));
+    }
+  }
+
+  // Search level: trip every store call of the first 64, which covers
+  // the growing insertions of each store.  Every faulted search stops
+  // with kMemory and throws nothing; the unfaulted answers are unchanged.
+  Rng rng(21);
+  RandomTraceConfig tc;
+  tc.num_events = 24;
+  const Trace trace = random_trace(tc, rng);
+  const CanPrecedeResult cp = compute_can_precede(trace, {});
+  DeadlockOptions dopts;  // the full space, stored on exact packed keys
+  dopts.reduction = search::ReductionMode::kOff;
+  const DeadlockReport dl = analyze_deadlocks(trace, dopts);
+  ASSERT_FALSE(cp.truncated);
+  ASSERT_FALSE(dl.truncated);
+  for (std::uint64_t t = 1; t <= 64; ++t) {
+    SCOPED_TRACE("threshold=" + std::to_string(t));
+    fault::ScopedFaultPlan armed({.kind = fault::FaultKind::kStoreFailAt,
+                                  .threshold = t});
+    CanPrecedeResult fcp;
+    EXPECT_NO_THROW(fcp = compute_can_precede(trace, {}));
+    EXPECT_TRUE(fcp.truncated);
+    EXPECT_EQ(fcp.search.stop_reason, search::StopReason::kMemory);
+    DeadlockReport fdl;
+    EXPECT_NO_THROW(fdl = analyze_deadlocks(trace, dopts));
+    EXPECT_TRUE(fdl.truncated);
+    EXPECT_EQ(fdl.search.stop_reason, search::StopReason::kMemory);
+  }
+  const CanPrecedeResult again = compute_can_precede(trace, {});
+  EXPECT_EQ(again.states_visited, cp.states_visited);
+  EXPECT_EQ(again.can_precede, cp.can_precede);
+  const DeadlockReport dl_again = analyze_deadlocks(trace, dopts);
+  EXPECT_EQ(dl_again.states_visited, dl.states_visited);
+  EXPECT_EQ(dl_again.can_deadlock, dl.can_deadlock);
+  EXPECT_GE(cp.states_visited, 64u);
+  EXPECT_GE(dl.states_visited, 64u);
 }
 
 // ----------------------------------------------------------------------
