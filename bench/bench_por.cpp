@@ -60,7 +60,7 @@ ModeResult run_mode(const Trace& trace, search::ReductionMode mode) {
   options.reduction = mode;
   Timer timer;
   r.stats = enumerate_causal_classes(
-      trace, options, [&](const std::vector<EventId>& s) {
+      trace, options, [&](const std::vector<EventId>& s, const AncestorRows&) {
         r.classes.insert(class_fingerprint(trace, s));
         return true;
       });
@@ -173,7 +173,8 @@ void BM_ClassEnum_WideFork_Unreduced(benchmark::State& state) {
   options.reduction = search::ReductionMode::kOff;
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, options, [](const std::vector<EventId>&) { return true; });
+        t, options,
+        [](const std::vector<EventId>&, const AncestorRows&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }
@@ -182,7 +183,8 @@ void BM_ClassEnum_WideFork_Reduced(benchmark::State& state) {
   const Trace t = wide_fork_trace(4, 2);
   for (auto _ : state) {
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [](const std::vector<EventId>&) { return true; });
+        t, {},
+        [](const std::vector<EventId>&, const AncestorRows&) { return true; });
     benchmark::DoNotOptimize(stats);
   }
 }

@@ -76,7 +76,10 @@ struct DeadlockHooks {
   search::ShardedFingerprintSet* stuck_set;  ///< null in serial mode
   WitnessCandidate* witness;
 
-  bool on_terminal(const std::vector<EventId>& /*schedule*/) { return true; }
+  bool on_terminal(const std::vector<EventId>& /*schedule*/,
+                   const search::NullTracker& /*tracker*/) {
+    return true;
+  }
 
   void on_stuck(const std::vector<EventId>& path, std::uint64_t fp,
                 const std::vector<std::uint32_t>& dewey) {

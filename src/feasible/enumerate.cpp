@@ -13,7 +13,8 @@ namespace {
 /// prefixes are only counted (by the engine).
 struct EnumHooks {
   const ScheduleVisitor* visit;
-  bool on_terminal(const std::vector<EventId>& schedule) {
+  bool on_terminal(const std::vector<EventId>& schedule,
+                   const search::NullTracker& /*tracker*/) {
     return (*visit)(schedule);
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,

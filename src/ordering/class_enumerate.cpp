@@ -55,8 +55,9 @@ class CausalTracker {
     }
   }
 
-  /// Ancestors (strict) of executed event e.
-  const DynamicBitset& ancestors(EventId e) const { return rows_[e]; }
+  /// Strict ancestor rows; row e is current once e has executed, so at a
+  /// complete schedule every row is the schedule's final closure row.
+  const AncestorRows& rows() const { return rows_; }
 
   struct Undo {
     EventId event = kNoEvent;
@@ -247,7 +248,7 @@ class CausalTracker {
 
   const Trace& trace_;
   CausalOptions options_;
-  std::vector<DynamicBitset> rows_;
+  AncestorRows rows_;
   std::vector<std::uint64_t> row_hash_;  ///< zobrist term per executed event
   std::vector<std::vector<EventId>> conflicts_;
   std::vector<std::deque<EventId>> tokens_;
@@ -262,12 +263,14 @@ class CausalTracker {
   std::uint64_t establisher_hash_ = 0;
 };
 
-/// Enumeration hooks: forward complete schedules to the caller's
-/// visitor; deduped/stuck prefixes are counted by the engine.
+/// Enumeration hooks: forward complete schedules, with the tracker's
+/// final ancestor rows, to the caller's visitor; deduped/stuck prefixes
+/// are counted by the engine.
 struct ClassHooks {
-  const std::function<bool(const std::vector<EventId>&)>* visit;
-  bool on_terminal(const std::vector<EventId>& schedule) {
-    return (*visit)(schedule);
+  const ClassVisitor* visit;
+  bool on_terminal(const std::vector<EventId>& schedule,
+                   const CausalTracker& tracker) {
+    return (*visit)(schedule, tracker.rows());
   }
   void on_stuck(const std::vector<EventId>& /*path*/, std::uint64_t /*fp*/,
                 const std::vector<std::uint32_t>& /*dewey*/) {}
@@ -308,17 +311,20 @@ ClassEnumStats finish(const search::SearchStats& stats,
 
 }  // namespace
 
-ClassEnumStats enumerate_causal_classes(
-    const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(const std::vector<EventId>&)>& visit) {
+ClassEnumStats enumerate_causal_classes(const Trace& trace,
+                                        const ClassEnumOptions& options,
+                                        const ClassVisitor& visit) {
   const search::SearchOptions so = to_search_options(options);
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
   // Prefix fingerprints fold the causal tracker's state into the hash,
   // so the store stays in 64-bit hash mode (never exact packed keys).
+  // One thread uses it, so the shards go unlocked; there stay 16 of
+  // them so that, near a byte budget, each forced table doubling is a
+  // small step (one shard's doubling overshot a 4 KiB budget by 16%).
   search::ShardedFingerprintSet prefix_seen(search::make_store_config(
-      trace, so, 16, /*synchronized=*/true, /*pure_state_key=*/false));
+      trace, so, 16, /*synchronized=*/false, /*pure_state_key=*/false));
   prefix_seen.set_accountant(&ctx.memory);
   const bool reduced = so.reduction != search::ReductionMode::kOff;
   std::unique_ptr<search::IndependenceRelation> indep;
@@ -339,9 +345,7 @@ std::size_t num_root_subtrees(const Trace& trace,
 
 ClassEnumStats enumerate_causal_classes_parallel(
     const Trace& trace, const ClassEnumOptions& options,
-    std::size_t num_threads,
-    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
-        visit) {
+    std::size_t num_threads, const SlotClassVisitor& visit) {
   const std::size_t threads = search::resolve_num_threads(num_threads);
   const bool reduced = options.reduction != search::ReductionMode::kOff;
   std::unique_ptr<search::IndependenceRelation> indep;
@@ -351,8 +355,10 @@ ClassEnumStats enumerate_causal_classes_parallel(
       indep.get(), /*tracker_sensitive=*/true);
   if (threads <= 1 || roots.empty()) {
     // Serial fallback also covers empty traces and deadlocked roots.
-    const std::function<bool(const std::vector<EventId>&)> wrapped =
-        [&](const std::vector<EventId>& s) { return visit(0, s); };
+    const ClassVisitor wrapped = [&](const std::vector<EventId>& s,
+                                     const AncestorRows& rows) {
+      return visit(0, s, rows);
+    };
     return enumerate_causal_classes(trace, options, wrapped);
   }
 
@@ -406,10 +412,11 @@ ClassEnumStats enumerate_causal_classes_parallel(
   total.merge(search::run_work_stealing(
       std::move(roots), threads, so.steal.seed, ctx,
       [&](const search::SearchTask& task, search::WorkerHandle& worker) {
-        const std::function<bool(const std::vector<EventId>&)> sub =
-            [&visit, slot = worker.worker_id()](const std::vector<EventId>& s) {
-              return visit(slot, s);
-            };
+        const ClassVisitor sub = [&visit, slot = worker.worker_id()](
+                                     const std::vector<EventId>& s,
+                                     const AncestorRows& rows) {
+          return visit(slot, s, rows);
+        };
         ClassSearch engine(trace, options.stepper, so, &ctx,
                            CausalTracker(trace, options.causal),
                            search::SharedSetDedup(&prefix_seen),

@@ -12,7 +12,13 @@
 // have exactly the same set of causal-class completions, so only one of
 // them needs exploring.  The visitor still receives complete schedules,
 // at least one per distinct complete causal class (possibly more, never
-// one per redundant schedule).
+// one per redundant schedule).  With each schedule it receives the
+// causal order the enumeration already tracked (the CausalTracker that
+// keys the prefix dedup) as ancestor rows: rows[e] = { x : x -> e } in
+// C(sigma) under ClassEnumOptions::causal, transitively closed, equal
+// to the transpose of causal_closure(trace, schedule, options.causal).
+// Accumulators read the class off those rows instead of replaying the
+// schedule; callers that only need the schedule ignore them.
 //
 // This is the evord analogue of partial-order reduction: sound for
 // class-level accumulation (any/all over causal orders), unsound for
@@ -26,6 +32,7 @@
 #include "ordering/causal.hpp"
 #include "search/search.hpp"
 #include "trace/trace.hpp"
+#include "util/dynamic_bitset.hpp"
 
 namespace evord::search {
 class PackedStateRegistry;
@@ -88,11 +95,25 @@ struct ClassEnumStats {
   search::SearchStats search;  ///< unified engine statistics
 };
 
-/// Visits complete schedules covering every complete causal class;
-/// return false from the visitor to stop.
-ClassEnumStats enumerate_causal_classes(
-    const Trace& trace, const ClassEnumOptions& options,
-    const std::function<bool(const std::vector<EventId>&)>& visit);
+/// The causal order of one delivered schedule: rows[e] = { x : x -> e }
+/// (strict, transitively closed), one row per event.
+using AncestorRows = std::vector<DynamicBitset>;
+
+/// Receives a complete schedule and its ancestor rows; both are only
+/// valid for the duration of the call.  Return false to stop.
+using ClassVisitor = std::function<bool(const std::vector<EventId>& schedule,
+                                        const AncestorRows& rows)>;
+
+/// ClassVisitor of the parallel variant, called with the executing
+/// worker's slot index first.
+using SlotClassVisitor =
+    std::function<bool(std::size_t slot, const std::vector<EventId>& schedule,
+                       const AncestorRows& rows)>;
+
+/// Visits complete schedules covering every complete causal class.
+ClassEnumStats enumerate_causal_classes(const Trace& trace,
+                                        const ClassEnumOptions& options,
+                                        const ClassVisitor& visit);
 
 /// Number of initial scheduler tasks the parallel variant starts from:
 /// the events enabled after `options.seed_prefix` (usually empty) has
@@ -116,8 +137,6 @@ std::size_t num_root_subtrees(const Trace& trace,
 /// concurrency; every request is clamped to search::max_worker_threads().
 ClassEnumStats enumerate_causal_classes_parallel(
     const Trace& trace, const ClassEnumOptions& options,
-    std::size_t num_threads,
-    const std::function<bool(std::size_t, const std::vector<EventId>&)>&
-        visit);
+    std::size_t num_threads, const SlotClassVisitor& visit);
 
 }  // namespace evord

@@ -108,23 +108,21 @@ constexpr std::uint64_t kFullClassSeed = DynamicBitset::kHashSeed;
 constexpr std::uint64_t kSyncClassSeed =
     DynamicBitset::kHashSeed ^ 0x5ca1ab1eull;
 
-/// Records the class of closure `tc` in `dedup`; true iff it is new.
-/// Deduplicates on a chained 64-bit hash of the closure rows: O(1) space
+/// Records the class with ancestor rows `anc` in `dedup`; true iff it is
+/// new.  Deduplicates on a chained 64-bit hash of the rows: O(1) space
 /// per class instead of an n²/8-byte string.  Debug builds keep the rows
 /// and verify hash-equal classes really are equal.
-bool insert_class(const TransitiveClosure& tc, std::uint64_t seed,
+bool insert_class(const AncestorRows& anc, std::uint64_t seed,
                   search::ShardedFingerprintSet& dedup) {
-  const std::size_t n = tc.num_nodes();
   std::uint64_t fingerprint = seed;
-  for (EventId a = 0; a < n; ++a) {
-    fingerprint = tc.descendants(a).hash_words(fingerprint);
+  for (const DynamicBitset& row : anc) {
+    fingerprint = row.hash_words(fingerprint);
   }
   const std::vector<std::uint64_t>* verify_payload = nullptr;
 #ifndef NDEBUG
   std::vector<std::uint64_t> closure_words;
   if (dedup.verify_collisions()) {
-    for (EventId a = 0; a < n; ++a) {
-      const DynamicBitset& row = tc.descendants(a);
+    for (const DynamicBitset& row : anc) {
       for (std::size_t w = 0; w < row.word_count(); ++w) {
         closure_words.push_back(row.word(w));
       }
@@ -142,16 +140,15 @@ bool insert_class(const TransitiveClosure& tc, std::uint64_t seed,
 /// of them, and merge() combines the results.
 class CausalAccumulator {
  public:
-  CausalAccumulator(const Trace& trace, const CausalOptions& causal,
+  CausalAccumulator(std::size_t num_events,
                     search::ShardedFingerprintSet& dedup)
-      : trace_(trace), causal_(causal), dedup_(&dedup),
-        n_(trace.num_events()) {
+      : dedup_(&dedup), n_(num_events) {
     any_c_.reset(n_, n_);
     all_c_.reset(n_, n_);
     any_incomp_.reset(n_, n_);
     all_incomp_.reset(n_, n_);
     any_notrev_.reset(n_, n_);
-    anc_.reset(n_, n_);
+    desc_.reset(n_, n_);
     scratch_words_.assign(any_c_.words_per_row(), 0);
     for (EventId a = 0; a < n_; ++a) {
       // all_* start full (AND identity) minus the diagonal.
@@ -166,40 +163,41 @@ class CausalAccumulator {
 
   std::uint64_t classes() const { return classes_; }
 
-  void accept(const std::vector<EventId>& schedule) {
-    const TransitiveClosure tc = causal_closure(trace_, schedule, causal_);
-    if (!insert_class(tc, kFullClassSeed, *dedup_)) return;
+  /// Accumulates the class with ancestor rows `anc` (anc[b] = { a : a ->
+  /// b }) unless the dedup set already holds it.
+  void accept(const AncestorRows& anc) {
+    if (!insert_class(anc, kFullClassSeed, *dedup_)) return;
     ++classes_;
 
-    // Closure transpose, once per class: anc_[b] = { a : a -> b },
-    // computed 64x64 bits at a time.
-    anc_.reset(n_, n_);
-    const std::size_t wpr = anc_.words_per_row();
+    // Row transpose, once per class: desc_[a] = { b : a -> b }, computed
+    // 64x64 bits at a time.
+    desc_.reset(n_, n_);
+    const std::size_t wpr = desc_.words_per_row();
     std::uint64_t blk[64];
     for (std::size_t bi = 0; bi < wpr; ++bi) {
       for (std::size_t bj = 0; bj < wpr; ++bj) {
         bool any = false;
         for (int k = 0; k < 64; ++k) {
-          const std::size_t a = bi * 64 + static_cast<std::size_t>(k);
-          blk[k] = a < n_ ? tc.descendants(a).word(bj) : 0;
+          const std::size_t b = bi * 64 + static_cast<std::size_t>(k);
+          blk[k] = b < n_ ? anc[b].word(bj) : 0;
           any = any || blk[k] != 0;
         }
         if (!any) continue;
         search::transpose64(blk);
         for (int k = 0; k < 64; ++k) {
-          const std::size_t b = bj * 64 + static_cast<std::size_t>(k);
-          if (b < n_ && blk[k] != 0) anc_.row(b).word(bi) = blk[k];
+          const std::size_t a = bj * 64 + static_cast<std::size_t>(k);
+          if (a < n_ && blk[k] != 0) desc_.row(a).word(bi) = blk[k];
         }
       }
     }
     // Word-parallel updates: not-reversed(a) = ~(anc(a) | {a}) and
     // incomparable(a) = ~(desc(a) | anc(a) | {a}).
     for (EventId a = 0; a < n_; ++a) {
-      const search::ConstBitRow desc = search::row_view(tc.descendants(a));
+      const search::ConstBitRow desc = desc_.row(a);
       any_c_.row(a) |= desc;
       all_c_.row(a) &= desc;
       search::BitRow scratch(scratch_words_.data(), n_);
-      scratch.assign(anc_.row(a));
+      scratch.assign(search::row_view(anc[a]));
       scratch.set(a);
       any_notrev_.row(a).or_complement(scratch);
       scratch |= desc;
@@ -278,8 +276,6 @@ class CausalAccumulator {
   }
 
  private:
-  const Trace& trace_;
-  CausalOptions causal_;
   search::ShardedFingerprintSet* dedup_;
   std::size_t n_;
   std::uint64_t classes_ = 0;
@@ -289,32 +285,29 @@ class CausalAccumulator {
   search::PerStateBitset any_c_, all_c_;
   search::PerStateBitset any_incomp_, all_incomp_;
   search::PerStateBitset any_notrev_;
-  search::PerStateBitset anc_;  ///< per-class closure transpose
+  search::PerStateBitset desc_;  ///< per-class row transpose
   std::vector<std::uint64_t> scratch_words_;
 };
 
 /// The race reading of a sweep over the synchronization-only order: per
 /// candidate pair, "incomparable in some synchronization class".  Like
 /// CausalAccumulator it keeps one instance per worker slot over a shared
-/// dedup set.  accept() reports whether the schedule opened a new class:
-/// the gate for the full-closure accumulator, since with schedule-
+/// dedup set.  accept() reports whether the rows opened a new class:
+/// the gate for the full-order accumulator, since with schedule-
 /// invariant data edges the same synchronization class implies the same
 /// full class.
 class RaceAccumulator {
  public:
-  RaceAccumulator(const Trace& trace,
-                  const std::vector<DependenceEdge>& pairs,
+  RaceAccumulator(const std::vector<DependenceEdge>& pairs,
                   search::ShardedFingerprintSet& dedup)
-      : trace_(trace), pairs_(&pairs), dedup_(&dedup),
-        racing_(pairs.size()) {}
+      : pairs_(&pairs), dedup_(&dedup), racing_(pairs.size()) {}
 
-  bool accept(const std::vector<EventId>& schedule) {
-    const TransitiveClosure tc =
-        causal_closure(trace_, schedule, {.include_data_edges = false});
-    if (!insert_class(tc, kSyncClassSeed, *dedup_)) return false;
+  /// `sync` holds the synchronization-only ancestor rows.
+  bool accept(const AncestorRows& sync) {
+    if (!insert_class(sync, kSyncClassSeed, *dedup_)) return false;
     for (std::size_t i = 0; i < pairs_->size(); ++i) {
       const auto& [a, b] = (*pairs_)[i];
-      if (tc.incomparable(a, b)) racing_.set(i);
+      if (!sync[b].test(a) && !sync[a].test(b)) racing_.set(i);
     }
     return true;
   }
@@ -323,11 +316,66 @@ class RaceAccumulator {
   const DynamicBitset& racing() const { return racing_; }
 
  private:
-  const Trace& trace_;
   const std::vector<DependenceEdge>* pairs_;
   search::ShardedFingerprintSet* dedup_;
   DynamicBitset racing_;
 };
+
+/// The full causal order of a fused sweep's schedule from its
+/// synchronization-only rows.  With schedule-invariant data edges C(σ) =
+/// closure(C_sync(σ) ∪ D), and every D edge runs forward in σ, so one
+/// pass in schedule order closes it with word-parallel ORs:
+///   full[e] = sync[e] ∪ ⋃_{x ∈ sync[e]} full[x]
+///                     ∪ ⋃_{d ∈ Dpred(e)} ({d} ∪ full[d]).
+/// One instance per worker slot: the rows are its scratch.
+class FullRowBuilder {
+ public:
+  explicit FullRowBuilder(const Trace& trace)
+      : dpred_(trace.num_events()),
+        full_(trace.num_events(), DynamicBitset(trace.num_events())) {
+    for (const auto& [x, y] : trace.dependences()) dpred_[y].push_back(x);
+  }
+
+  /// Valid until the next call.
+  const AncestorRows& build(const std::vector<EventId>& schedule,
+                            const AncestorRows& sync) {
+    const std::size_t n = full_.size();
+    for (const EventId e : schedule) {
+      DynamicBitset& row = full_[e];
+      row = sync[e];
+      for (std::size_t x = sync[e].find_first(); x < n;
+           x = sync[e].find_next(x)) {
+        row |= full_[x];
+      }
+      for (const EventId d : dpred_[e]) {
+        row.set(d);
+        row |= full_[d];
+      }
+    }
+    return full_;
+  }
+
+ private:
+  std::vector<std::vector<EventId>> dpred_;  ///< d ∈ dpred_[e] iff (d, e) ∈ D
+  AncestorRows full_;
+};
+
+/// Ancestor rows of a replayed closure (the class_dedup = false
+/// reference path): the transpose of its descendant rows.
+AncestorRows replayed_rows(const Trace& trace,
+                           const std::vector<EventId>& schedule,
+                           const CausalOptions& options) {
+  const TransitiveClosure tc = causal_closure(trace, schedule, options);
+  const std::size_t n = trace.num_events();
+  AncestorRows anc(n, DynamicBitset(n));
+  for (EventId a = 0; a < n; ++a) {
+    const DynamicBitset& desc = tc.descendants(a);
+    for (std::size_t b = desc.find_first(); b < n; b = desc.find_next(b)) {
+      anc[b].set(a);
+    }
+  }
+  return anc;
+}
 
 /// The data edges of C(sigma) are the same in every feasible schedule:
 /// F3 is enforced and every conflicting pair is a D edge in one
@@ -367,29 +415,53 @@ CausalIntervalRelations compute_causal_and_interval(
                      data_edges_schedule_invariant(trace, options, pairs);
   const CausalOptions causal{.include_data_edges =
                                  options.causal_data_edges};
-  // One dedup set for both class kinds (distinct fingerprint seeds), so
-  // the byte budget charges both.
-  search::ShardedFingerprintSet dedup;
   const std::size_t num_threads =
       search::resolve_num_threads(options.num_threads);
-  // One accumulator (pair) per worker slot (lock-free accepts: same-slot
+  // One dedup set for both class kinds (distinct fingerprint seeds), so
+  // the byte budget charges both.  A serial sweep touches it from one
+  // thread: one unlocked shard.
+  search::PackedStateRegistry::Config dedup_config;
+  if (num_threads <= 1) {
+    dedup_config.num_shards = 1;
+    dedup_config.synchronized = false;
+  }
+  search::ShardedFingerprintSet dedup(dedup_config);
+  // One accumulator set per worker slot (lock-free accepts: same-slot
   // visits never overlap), class dedup shared through the sharded set,
   // all budgets strict and global via the shared search context.
   std::vector<CausalAccumulator> accs;
   std::vector<RaceAccumulator> race_accs;
+  std::vector<FullRowBuilder> full_rows;
   accs.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    accs.emplace_back(trace, causal, dedup);
-    if (fused) race_accs.emplace_back(trace, pairs, dedup);
+    accs.emplace_back(trace.num_events(), dedup);
+    if (fused) {
+      race_accs.emplace_back(pairs, dedup);
+      full_rows.emplace_back(trace);
+    }
   }
+  // The class sweep hands over the rows of the order it enumerated: the
+  // requested one, or the synchronization-only one when fused.
   const auto accept_slot = [&](std::size_t slot,
-                               const std::vector<EventId>& s) {
-    if (fused && !race_accs[slot].accept(s)) return true;
-    accs[slot].accept(s);
+                               const std::vector<EventId>& s,
+                               const AncestorRows& rows) {
+    if (!fused) {
+      accs[slot].accept(rows);
+    } else if (race_accs[slot].accept(rows)) {
+      accs[slot].accept(full_rows[slot].build(s, rows));
+    }
     return true;
   };
-  const auto accept = [&](const std::vector<EventId>& s) {
-    return accept_slot(0, s);
+  // The plain enumerator is the independent reference: it replays every
+  // schedule's orders and feeds the replayed rows to the same accepts.
+  const auto replay_slot = [&](std::size_t slot,
+                               const std::vector<EventId>& s) {
+    if (fused && !race_accs[slot].accept(replayed_rows(
+                     trace, s, {.include_data_edges = false}))) {
+      return true;
+    }
+    accs[slot].accept(replayed_rows(trace, s, causal));
+    return true;
   };
 
   if (options.class_dedup) {
@@ -407,7 +479,11 @@ CausalIntervalRelations compute_causal_and_interval(
     co.reduction = options.reduction;
     const ClassEnumStats stats =
         num_threads <= 1
-            ? enumerate_causal_classes(trace, co, accept)
+            ? enumerate_causal_classes(
+                  trace, co,
+                  [&](const std::vector<EventId>& s, const AncestorRows& rows) {
+                    return accept_slot(0, s, rows);
+                  })
             : enumerate_causal_classes_parallel(trace, co, num_threads,
                                                 accept_slot);
     r.schedules_seen = stats.schedules_visited;
@@ -424,8 +500,11 @@ CausalIntervalRelations compute_causal_and_interval(
     eo.charge_store = &dedup;
     const EnumerateStats stats =
         num_threads <= 1
-            ? enumerate_schedules(trace, eo, accept)
-            : enumerate_schedules_parallel_indexed(trace, eo, accept_slot,
+            ? enumerate_schedules(trace, eo,
+                                  [&](const std::vector<EventId>& s) {
+                                    return replay_slot(0, s);
+                                  })
+            : enumerate_schedules_parallel_indexed(trace, eo, replay_slot,
                                                    num_threads);
     r.schedules_seen = stats.schedules;
     r.deadlocked_prefixes = stats.deadlocked_prefixes;

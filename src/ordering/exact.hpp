@@ -4,11 +4,14 @@
 // Interleaving semantics uses the memoized state-space engine (one pass,
 // no per-schedule work).  Causal and interval semantics enumerate
 // complete schedules, deduplicate them into causal classes and accumulate
-// per-class facts.  The interval reading only adds free timing to the
-// causal one, so both range over the same classes: ONE class enumeration
-// feeds one accumulator that finishes both results
-// (compute_causal_and_interval).  Both engines are exponential in the
-// worst case — Theorems 1-4 say they must be, assuming P != NP — so
+// per-class facts.  Each class is read off the ancestor rows the class
+// enumeration already tracked (ordering/class_enumerate.hpp), never by
+// replaying its schedule; only the class_dedup = false reference path
+// replays every schedule with causal_closure.  The interval reading only
+// adds free timing to the causal one, so both range over the same
+// classes: ONE class enumeration feeds one accumulator that finishes both
+// results (compute_causal_and_interval).  Both engines are exponential in
+// the worst case — Theorems 1-4 say they must be, assuming P != NP — so
 // budgets apply and results carry a `truncated` flag.
 //
 // The same class sweep also yields the exact races (race semantics: CCW
@@ -19,13 +22,17 @@
 // ∪ D) and each synchronization-only class determines exactly one full
 // class: the enumeration runs on the FINER synchronization-only order,
 // one accumulator ORs the race bits per synchronization class, and the
-// full-closure accumulator reads only schedules that opened a new
+// full-order accumulator reads only schedules that opened a new
 // synchronization class (one representative per class: Maarand &
-// Uustalu, "Generating Representative Executions").  Traces that break
-// the precondition (e.g. `auto_dependences off` leaving a conflicting
-// pair outside D, or respect_dependences = false) keep the full-order
-// sweep and carry no race bits; detect_races_exact then runs its own
-// sweep.
+// Uustalu, "Generating Representative Executions").  Its full rows come
+// from the tracked synchronization-only rows plus D in one word-parallel
+// pass in schedule order (every D edge runs forward in sigma):
+//   full[e] = sync[e] ∪ ⋃_{x ∈ sync[e]} full[x]
+//                     ∪ ⋃_{(d, e) ∈ D} ({d} ∪ full[d]).
+// Traces that break the precondition (e.g. `auto_dependences off`
+// leaving a conflicting pair outside D, or respect_dependences = false)
+// keep the full-order sweep and carry no race bits; detect_races_exact
+// then runs its own sweep.
 #pragma once
 
 #include <cstdint>

@@ -30,8 +30,12 @@
 //   by any engine sharing the store (it counts toward the global
 //   distinct-state budget).
 //
-//   Enumeration hooks: `bool on_terminal(const std::vector<EventId>&)`
-//   (false stops the whole search), `void on_stuck(const
+//   Enumeration hooks: `bool on_terminal(const std::vector<EventId>&
+//   path, const Tracker& tracker)` (false stops the whole search) gets
+//   the complete schedule and the tracker in its final state, so a
+//   tracker that already maintains per-event data (the causal-class
+//   tracker's ancestor rows) hands it over instead of the hook
+//   replaying the path; NullTracker hooks ignore it.  `void on_stuck(const
 //   std::vector<EventId>& path, std::uint64_t fp, const
 //   std::vector<std::uint32_t>& dewey)` — `dewey` is the stuck state's
 //   canonical DFS key (sibling index per depth, absolute from the
@@ -414,7 +418,7 @@ class EnumerationSearch {
       return false;
     }
     ++stats_.terminals;
-    if (!hooks_.on_terminal(path_)) {
+    if (!hooks_.on_terminal(path_, tracker_)) {
       stats_.stopped_by_visitor = true;
       set_reason(StopReason::kVisitor);
       ctx_->request_stop(StopReason::kVisitor);

@@ -2,14 +2,18 @@
 // integration into the exact solver is tested in ordering_test.cpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "feasible/enumerate.hpp"
 #include "helpers.hpp"
 #include "ordering/causal.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "trace/builder.hpp"
+#include "workload/generators.hpp"
 
 namespace evord {
 namespace {
@@ -46,7 +50,7 @@ TEST(ClassEnumerate, CoversEveryClassThePlainEnumeratorFinds) {
     std::set<std::string> dedup_classes;
     std::uint64_t visits = 0;
     const ClassEnumStats stats = enumerate_causal_classes(
-        t, {}, [&](const std::vector<EventId>& s) {
+        t, {}, [&](const std::vector<EventId>& s, const AncestorRows&) {
           dedup_classes.insert(class_fingerprint(t, s));
           ++visits;
           return true;
@@ -66,7 +70,8 @@ TEST(ClassEnumerate, VisitsNoMoreThanThePlainEnumerator) {
     const std::uint64_t plain = count_schedules(t);
     std::uint64_t dedup = 0;
     enumerate_causal_classes(t, {},
-                             [&](const std::vector<EventId>&) {
+                             [&](const std::vector<EventId>&,
+                                 const AncestorRows&) {
                                ++dedup;
                                return true;
                              });
@@ -89,7 +94,8 @@ TEST(ClassEnumerate, SyncOnlyModeCoversSyncOnlyClasses) {
   std::set<std::string> dedup_classes;
   ClassEnumOptions options;
   options.causal = sync_only;
-  enumerate_causal_classes(t, options, [&](const std::vector<EventId>& s) {
+  enumerate_causal_classes(t, options, [&](const std::vector<EventId>& s,
+                                            const AncestorRows&) {
     dedup_classes.insert(class_fingerprint(t, s, sync_only));
     return true;
   });
@@ -105,7 +111,8 @@ TEST(ClassEnumerate, CountsDeadlockedPrefixes) {
   b.wait(p1, e);
   b.clear(p2, e);
   const ClassEnumStats stats = enumerate_causal_classes(
-      b.build(), {}, [](const std::vector<EventId>&) { return true; });
+      b.build(), {},
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   EXPECT_GT(stats.deadlocked_prefixes, 0u);
   EXPECT_GT(stats.schedules_visited, 0u);
 }
@@ -121,11 +128,13 @@ TEST(ClassEnumerate, BudgetsAndVisitorStop) {
   ClassEnumOptions tight;
   tight.max_prefixes = 3;
   const ClassEnumStats truncated = enumerate_causal_classes(
-      t, tight, [](const std::vector<EventId>&) { return true; });
+      t, tight,
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   EXPECT_TRUE(truncated.truncated);
 
   const ClassEnumStats stopped = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return false; });
+      t, {},
+      [](const std::vector<EventId>&, const AncestorRows&) { return false; });
   EXPECT_TRUE(stopped.stopped_by_visitor);
   EXPECT_EQ(stopped.schedules_visited, 1u);
 }
@@ -145,7 +154,8 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   // a single chain, so the savings show up as reduction counters rather
   // than prefix dedup hits.
   const ClassEnumStats stats = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return true; });
+      t, {},
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   EXPECT_GT(stats.search.sleep_pruned + stats.search.persistent_skipped, 0u);
   EXPECT_GT(stats.distinct_prefixes, 0u);
   EXPECT_LT(stats.schedules_visited, 1680u);  // 9!/(3!)^3 plain schedules
@@ -154,11 +164,97 @@ TEST(ClassEnumerate, PrunesReportedInStats) {
   ClassEnumOptions unreduced;
   unreduced.reduction = search::ReductionMode::kOff;
   const ClassEnumStats off = enumerate_causal_classes(
-      t, unreduced, [](const std::vector<EventId>&) { return true; });
+      t, unreduced,
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   EXPECT_GT(off.prefixes_pruned, 0u);
   EXPECT_EQ(off.search.sleep_pruned, 0u);
   EXPECT_EQ(off.search.persistent_skipped, 0u);
   EXPECT_GE(off.schedules_visited, stats.schedules_visited);
+}
+
+/// The transpose of the replayed closure: rows[b] = { a : a -> b }.
+AncestorRows replayed_ancestors(const Trace& t,
+                                const std::vector<EventId>& schedule,
+                                const CausalOptions& options) {
+  const TransitiveClosure tc = causal_closure(t, schedule, options);
+  const std::size_t n = t.num_events();
+  AncestorRows rows(n, DynamicBitset(n));
+  for (EventId a = 0; a < n; ++a) {
+    for (EventId b = 0; b < n; ++b) {
+      if (tc.reachable(a, b)) rows[b].set(a);
+    }
+  }
+  return rows;
+}
+
+TEST(ClassEnumerate, AncestorRowsMatchReplayedClosure) {
+  // Every delivered schedule's rows are the tracked causal order, which
+  // must equal the replayed one: counting and binary semaphores,
+  // Post/Wait/Clear (with shared data, so data edges exist) and
+  // fork/join, serial and parallel, reduced and unreduced.
+  std::vector<std::pair<std::string, Trace>> traces;
+  Rng rng(233);
+  for (int i = 0; i < 3; ++i) {
+    const std::string tag = " #" + std::to_string(i);
+    SemTraceConfig counting;
+    counting.num_events = 10;
+    traces.emplace_back("counting" + tag,
+                        random_semaphore_trace(counting, rng));
+    SemTraceConfig binary = counting;
+    binary.binary_semaphores = true;
+    traces.emplace_back("binary" + tag, random_semaphore_trace(binary, rng));
+    EventTraceConfig events;
+    events.num_events = 10;
+    events.num_variables = 2;
+    traces.emplace_back("post/wait/clear" + tag,
+                        random_event_trace(events, rng));
+    traces.emplace_back("fork/join" + tag, random_fork_join_trace(2, 3, rng));
+  }
+  std::uint64_t total_visits = 0;
+  for (const auto& [name, t] : traces) {
+    for (const bool data_edges : {true, false}) {
+      for (const search::ReductionMode reduction :
+           {search::ReductionMode::kSourceWakeup,
+            search::ReductionMode::kOff}) {
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+          const std::string label =
+              name + (data_edges ? " / data edges" : " / sync only") +
+              (reduction == search::ReductionMode::kOff ? " / kOff"
+                                                        : " / reduced") +
+              " / " + std::to_string(threads) + " workers";
+          ClassEnumOptions options;
+          options.causal.include_data_edges = data_edges;
+          options.reduction = reduction;
+          std::atomic<std::uint64_t> visits{0};
+          std::atomic<std::uint64_t> mismatches{0};
+          const SlotClassVisitor check = [&](std::size_t,
+                                             const std::vector<EventId>& s,
+                                             const AncestorRows& rows) {
+            visits.fetch_add(1, std::memory_order_relaxed);
+            if (rows != replayed_ancestors(t, s, options.causal)) {
+              mismatches.fetch_add(1, std::memory_order_relaxed);
+            }
+            return true;
+          };
+          const ClassEnumStats stats =
+              threads == 1
+                  ? enumerate_causal_classes(
+                        t, options,
+                        [&](const std::vector<EventId>& s,
+                            const AncestorRows& rows) {
+                          return check(0, s, rows);
+                        })
+                  : enumerate_causal_classes_parallel(t, options, threads,
+                                                      check);
+          EXPECT_EQ(mismatches.load(), 0u) << label;
+          EXPECT_EQ(visits.load(), stats.schedules_visited) << label;
+          EXPECT_FALSE(stats.truncated) << label;
+          total_visits += visits.load();
+        }
+      }
+    }
+  }
+  EXPECT_GT(total_visits, 0u);
 }
 
 }  // namespace

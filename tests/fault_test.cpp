@@ -7,6 +7,8 @@
 // label re-runs it under ThreadSanitizer).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "feasible/deadlock.hpp"
@@ -15,8 +17,10 @@
 #include "feasible/stepper.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "ordering/exact.hpp"
+#include "race/race_detector.hpp"
 #include "reductions/reduction.hpp"
 #include "sat/dpll.hpp"
+#include "service/session.hpp"
 #include "util/fault.hpp"
 #include "workload/generators.hpp"
 
@@ -152,12 +156,14 @@ TEST(FaultSweep, DeadlineAtStateStopsEveryExplorer) {
       const ClassEnumStats stats =
           threads <= 1
               ? enumerate_causal_classes(trace, co,
-                                         [](const std::vector<EventId>&) {
+                                         [](const std::vector<EventId>&,
+                                            const AncestorRows&) {
                                            return true;
                                          })
               : enumerate_causal_classes_parallel(
                     trace, co, threads,
-                    [](std::size_t, const std::vector<EventId>&) {
+                    [](std::size_t, const std::vector<EventId>&,
+                       const AncestorRows&) {
                       return true;
                     });
       EXPECT_TRUE(stats.truncated);
@@ -211,17 +217,117 @@ TEST(FaultSweep, StoreFailureStopsStoreBackedExplorers) {
       const ClassEnumStats stats =
           threads <= 1
               ? enumerate_causal_classes(trace, co,
-                                         [](const std::vector<EventId>&) {
+                                         [](const std::vector<EventId>&,
+                                            const AncestorRows&) {
                                            return true;
                                          })
               : enumerate_causal_classes_parallel(
                     trace, co, threads,
-                    [](std::size_t, const std::vector<EventId>&) {
+                    [](std::size_t, const std::vector<EventId>&,
+                       const AncestorRows&) {
                       return true;
                     });
       EXPECT_TRUE(stats.truncated);
       EXPECT_EQ(stats.search.stop_reason, search::StopReason::kMemory);
       EXPECT_TRUE(fault::tripped());
+    }
+  }
+}
+
+/// A trace whose data edges are D edges and whose reduced class sweep
+/// still expands ~400 prefix states over 15 classes, so every threshold
+/// below lands mid-sweep.
+Trace class_sweep_trace() {
+  Rng rng(5);
+  SemTraceConfig config;
+  config.num_processes = 5;
+  config.num_semaphores = 2;
+  config.num_events = 22;
+  return random_semaphore_trace(config, rng);
+}
+
+void expect_same_class_sweep(const CausalIntervalRelations& a,
+                             const CausalIntervalRelations& b,
+                             const std::string& label) {
+  for (const Semantics s : {Semantics::kCausal, Semantics::kInterval}) {
+    EXPECT_EQ(a.of(s).causal_classes, b.of(s).causal_classes) << label;
+    for (const RelationKind k : kAllRelationKinds) {
+      EXPECT_EQ(a.of(s)[k], b.of(s)[k]) << label << " " << to_string(k);
+    }
+  }
+  EXPECT_EQ(a.races, b.races) << label;
+}
+
+TEST(FaultSweep, ClassSweepTruncatesCleanlyAtEveryThreshold) {
+  // The class sweep reads its classes off the enumeration's tracked
+  // rows, fused (synchronization-only rows plus D) or not.  A deadline
+  // or store failure at any point of it must stop it without throwing,
+  // flag causal, interval and race results truncated, and leave no
+  // truncated entry in a session cache; unfaulted answers stay exact.
+  const Trace trace = class_sweep_trace();
+  ExactOptions fused;
+  ExactOptions unfused;
+  unfused.causal_data_edges = false;  // race semantics: no D to add
+  ASSERT_TRUE(class_sweep_carries_races(trace, fused));
+  const auto shared = std::make_shared<const Trace>(trace);
+  for (const auto& [name, base] :
+       {std::pair<std::string, ExactOptions>{"fused", fused},
+        {"unfused", unfused}}) {
+    const CausalIntervalRelations reference =
+        compute_causal_and_interval(trace, base);
+    ASSERT_FALSE(reference.causal.truncated) << name;
+    ASSERT_TRUE(reference.races.has_value()) << name;
+    for (const fault::FaultKind kind : {fault::FaultKind::kDeadlineAtState,
+                                        fault::FaultKind::kStoreFailAt}) {
+      const search::StopReason reason =
+          kind == fault::FaultKind::kDeadlineAtState
+              ? search::StopReason::kDeadline
+              : search::StopReason::kMemory;
+      for (const std::size_t threads : {1u, 4u}) {
+        ExactOptions options = base;
+        options.num_threads = threads;
+        for (std::uint64_t threshold = 1; threshold <= 64; ++threshold) {
+          const std::string label =
+              name + " " + fault::to_string(kind) + " threads=" +
+              std::to_string(threads) + " at " + std::to_string(threshold);
+          const fault::FaultPlan plan{.kind = kind, .threshold = threshold};
+          {
+            fault::ScopedFaultPlan armed(plan);
+            CausalIntervalRelations r;
+            ASSERT_NO_THROW(r = compute_causal_and_interval(trace, options))
+                << label;
+            EXPECT_TRUE(fault::tripped()) << label;
+            EXPECT_TRUE(r.causal.truncated) << label;
+            EXPECT_TRUE(r.interval.truncated) << label;
+            EXPECT_EQ(r.causal.search.stop_reason, reason) << label;
+            ASSERT_TRUE(r.races.has_value()) << label;
+            EXPECT_TRUE(races_from_class_sweep(trace, r).truncated) << label;
+          }
+          service::AnalysisSession session(shared, options);
+          {
+            fault::ScopedFaultPlan armed(plan);
+            ASSERT_NO_THROW({
+              EXPECT_TRUE(session.relations(Semantics::kCausal)->truncated)
+                  << label;
+              EXPECT_TRUE(session.races()->truncated) << label;
+            }) << label;
+          }
+          EXPECT_EQ(session.cache()->stats().entries, 0u) << label;
+          // Unfaulted, the session recomputes and caches exact answers.
+          const auto causal = session.relations(Semantics::kCausal);
+          EXPECT_FALSE(causal->truncated) << label;
+          EXPECT_EQ(causal->causal_classes, reference.causal.causal_classes)
+              << label;
+          for (const RelationKind k : kAllRelationKinds) {
+            EXPECT_EQ((*causal)[k], reference.causal[k]) << label;
+          }
+          EXPECT_FALSE(session.races()->truncated) << label;
+        }
+        expect_same_class_sweep(compute_causal_and_interval(trace, options),
+                                reference,
+                                name + " unfaulted, threads=" +
+                                    std::to_string(threads));
+      }
     }
   }
 }

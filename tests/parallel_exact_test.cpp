@@ -475,5 +475,84 @@ TEST(ParallelExact, TruncatedFusedSweepFlagsRaceBits) {
   }
 }
 
+/// The class sweep reads each class off the enumeration's tracked rows
+/// (built from synchronization-only rows plus D when fused); the plain
+/// enumerator replays every schedule.  Both feed the same accumulators,
+/// so every matrix, class count and race bit must agree.
+void expect_matches_replay(const Trace& trace, const ExactOptions& options,
+                           const std::string& label) {
+  for (const std::size_t threads : {1u, 4u}) {
+    ExactOptions swept = options;
+    swept.num_threads = threads;
+    ExactOptions replayed = swept;
+    replayed.class_dedup = false;
+    const CausalIntervalRelations a = compute_causal_and_interval(trace, swept);
+    const CausalIntervalRelations b =
+        compute_causal_and_interval(trace, replayed);
+    const std::string where = label + " / " + std::to_string(threads) +
+                              " workers";
+    EXPECT_FALSE(a.causal.truncated) << where;
+    for (const Semantics s : {Semantics::kCausal, Semantics::kInterval}) {
+      expect_same_sweep(a.of(s), b.of(s), where + " / " + to_string(s));
+    }
+    ASSERT_EQ(a.races.has_value(), b.races.has_value()) << where;
+    if (a.races.has_value()) {
+      EXPECT_EQ(*a.races, *b.races) << where;
+    }
+  }
+}
+
+TEST(ParallelExact, ClassSweepMatchesReplayBaseline) {
+  struct Case {
+    Trace trace;
+    std::string label;
+  };
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 67 + 11);
+    SemTraceConfig sem;
+    sem.num_events = 10;
+    cases.push_back({random_semaphore_trace(sem, rng),
+                     "sem-trace seed " + std::to_string(seed)});
+    sem.binary_semaphores = true;
+    cases.push_back({random_semaphore_trace(sem, rng),
+                     "binary sem-trace seed " + std::to_string(seed)});
+    EventTraceConfig ev;
+    ev.num_events = 10;
+    ev.num_variables = 2;
+    cases.push_back({random_event_trace(ev, rng),
+                     "event-trace seed " + std::to_string(seed)});
+  }
+  Rng rng(71);
+  cases.push_back({random_fork_join_trace(2, 3, rng), "fork-join"});
+  cases.push_back({collapsing_sync_classes(), "collapsing"});
+  cases.push_back({conflict_outside_dependences(), "conflict outside D"});
+
+  ExactOptions race_semantics;
+  race_semantics.causal_data_edges = false;
+  ExactOptions ignore_f3;
+  ignore_f3.respect_dependences = false;
+  std::size_t fused = 0;
+  std::size_t unfused = 0;
+  for (const Case& c : cases) {
+    for (const auto& [name, options] :
+         {std::pair<std::string, ExactOptions>{"default", {}},
+          {"race semantics", race_semantics},
+          {"respect_dependences off", ignore_f3}}) {
+      // The fused sweep runs when the requested order has data edges and
+      // they are the same in every schedule.
+      if (options.causal_data_edges &&
+          class_sweep_carries_races(c.trace, options)) {
+        ++fused;
+      } else {
+        ++unfused;
+      }
+      expect_matches_replay(c.trace, options, c.label + " / " + name);
+    }
+  }
+  EXPECT_GT(fused, 0u);
+  EXPECT_GT(unfused, 0u);
+}
+
 }  // namespace
 }  // namespace evord

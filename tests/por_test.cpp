@@ -62,7 +62,8 @@ std::set<ClassKey> enumerated_classes(const Trace& trace,
   options.reduction = reduction;
   std::set<ClassKey> out;
   enumerate_causal_classes(trace, options,
-                           [&](const std::vector<EventId>& s) {
+                           [&](const std::vector<EventId>& s,
+                               const AncestorRows&) {
                              out.insert(class_key(trace, s, options.causal));
                              return true;
                            });
@@ -371,7 +372,7 @@ TEST(Por, SourceWakeupClassSetsMatchOnExcusalFamilies) {
       on.reduction = ReductionMode::kSourceWakeup;
       std::set<ClassKey> reduced;
       const ClassEnumStats stats = enumerate_causal_classes(
-          trace, on, [&](const std::vector<EventId>& s) {
+          trace, on, [&](const std::vector<EventId>& s, const AncestorRows&) {
             reduced.insert(class_key(trace, s, on.causal));
             return true;
           });
@@ -461,9 +462,11 @@ TEST(Por, WideForkReductionFactor) {
   ClassEnumOptions off;
   off.reduction = ReductionMode::kOff;
   const ClassEnumStats full = enumerate_causal_classes(
-      t, off, [](const std::vector<EventId>&) { return true; });
+      t, off,
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   const ClassEnumStats reduced = enumerate_causal_classes(
-      t, {}, [](const std::vector<EventId>&) { return true; });
+      t, {},
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
   EXPECT_EQ(reduced.schedules_visited, 1u);  // a single causal class
   EXPECT_GE(full.distinct_prefixes,
             5 * reduced.search.states_visited);

@@ -473,7 +473,8 @@ TEST(StealStress, ClassEnumerationCountsBitIdentical) {
   const Trace t = small_random_trace(73, 10);
   ClassEnumOptions options;
   const ClassEnumStats serial = enumerate_causal_classes(
-      t, options, [](const std::vector<EventId>&) { return true; });
+      t, options,
+      [](const std::vector<EventId>&, const AncestorRows&) { return true; });
 
   int run = 0;
   for (const std::size_t threads : kStressThreads) {
@@ -481,7 +482,9 @@ TEST(StealStress, ClassEnumerationCountsBitIdentical) {
       options.steal = stress_steal(run, threads);
       const ClassEnumStats parallel = enumerate_causal_classes_parallel(
           t, options, threads,
-          [](std::size_t, const std::vector<EventId>&) { return true; });
+          [](std::size_t, const std::vector<EventId>&, const AncestorRows&) {
+            return true;
+          });
       EXPECT_EQ(parallel.schedules_visited, serial.schedules_visited)
           << "run " << run << " threads " << threads;
       EXPECT_EQ(parallel.distinct_prefixes, serial.distinct_prefixes);

@@ -94,7 +94,9 @@ TEST(PackedLayout, RoundTripsAgainstLegacyKeyUnderRandomWalks) {
       }
       const auto [it, fresh] =
           hash_to_key.try_emplace(stepper.state_hash(), key);
-      if (!fresh) ASSERT_EQ(it->second, key) << "hash collision in walk";
+      if (!fresh) {
+        ASSERT_EQ(it->second, key) << "hash collision in walk";
+      }
       if (layout.single_word()) {
         // The packed word is injective: it IS the state.
         ASSERT_EQ(ref.size(), 1u);
@@ -195,7 +197,9 @@ TEST(PackedRegistry, BoolMapMatchesUnorderedMap) {
       bool got = false;
       const auto it = ref.find(key);
       ASSERT_EQ(memo.lookup(key, &got), it != ref.end());
-      if (it != ref.end()) ASSERT_EQ(got, it->second);
+      if (it != ref.end()) {
+        ASSERT_EQ(got, it->second);
+      }
     }
   }
   EXPECT_EQ(memo.size(), ref.size());
