@@ -168,7 +168,6 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
                             std::size_t threads,
                             const search::IndependenceRelation* indep) {
   search::SearchOptions so = to_search_options(options);
-  const bool reduced = so.reduction != search::ReductionMode::kOff;
   // Private-set tasks re-explore states their regions share (that is
   // what makes the witness deterministic), so on DAG-shaped state
   // spaces every extra task multiplies duplicated work.  Unless the
@@ -190,25 +189,21 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
 
   // Count the root state once, as the serial search would at its first
   // explore() entry (tasks start at least one event in and never revisit
-  // it).  Under reduction the serial claim keys the (state, sleep set)
-  // pair — the root sleeps on nothing.
+  // it), under the serial engine's claim key.
   {
     TraceStepper root(trace, options.stepper);
+    const search::PartialOrderReduction por(indep, so);
     std::vector<std::uint64_t> key;
     const std::vector<std::uint64_t>* payload = nullptr;
-    const std::vector<EventId> root_sleep;
     if (visited.verify_collisions()) {
       root.encode_key(key);
-      if (reduced) search::extend_key_with_sleep(root_sleep, key);
+      por.extend_key(0, key);
       payload = &key;
     }
-    std::uint64_t root_fp =
-        visited.exact_keys() ? root.packed_word() : root.state_hash();
-    if (reduced) {
-      root_fp = search::fold_sleep(root_fp,
-                                   search::sleep_set_hash(root_sleep));
-    }
-    visited.insert(root_fp, payload);
+    visited.insert(
+        por.claim_key(
+            visited.exact_keys() ? root.packed_word() : root.state_hash(), 0),
+        payload);
     ctx.states.fetch_add(1, std::memory_order_relaxed);
   }
 
@@ -225,7 +220,7 @@ DeadlockReport run_parallel(const Trace& trace, const DeadlockOptions& options,
             DeadlockHooks{&stuck, &local}, indep);
         engine.seed(task.seed);
         engine.attach_worker(&worker, &task);
-        if (reduced) engine.set_initial_sleep(task.sleep);
+        engine.set_initial_sleep(task.sleep);
         const search::SearchStats stats = engine.run();
         if (local.found) {
           std::lock_guard<std::mutex> lock(witness_mu);
@@ -319,10 +314,9 @@ DeadlockReport analyze_deadlocks(const Trace& trace,
   DeadlockReport report;
   bool ran = false;
   if (threads > 1) {
-    // NullTracker engine: stepper-state (untracked) dynamic independence.
-    std::vector<search::SearchTask> roots = search::root_tasks(
-        trace, options.stepper, {}, options.reduction, indep.get(),
-        /*tracker_sensitive=*/false);
+    std::vector<search::SearchTask> roots =
+        search::root_tasks(trace, options.stepper, {},
+                           to_search_options(options), indep.get());
     if (!roots.empty()) {
       report = run_parallel(trace, options, std::move(roots), threads,
                             indep.get());

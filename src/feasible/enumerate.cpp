@@ -80,16 +80,13 @@ EnumerateStats enumerate_schedules_parallel_indexed(
   // tasks share one SharedContext, so max_schedules caps the combined
   // visit count exactly.
   const std::size_t threads = search::resolve_num_threads(num_threads);
-  const search::ReductionMode reduction =
-      options.representatives_only ? search::ReductionMode::kSourceWakeup
-                                   : search::ReductionMode::kOff;
+  const search::SearchOptions so = to_search_options(options);
   std::unique_ptr<search::IndependenceRelation> indep;
-  if (reduction != search::ReductionMode::kOff) {
+  if (so.reduction != search::ReductionMode::kOff) {
     indep = std::make_unique<search::IndependenceRelation>(trace);
   }
   std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, options.seed_prefix, reduction, indep.get(),
-      /*tracker_sensitive=*/true);
+      trace, options.stepper, options.seed_prefix, so, indep.get());
   if (threads <= 1 || roots.empty()) {
     // Serial fallback also covers empty traces and deadlocked roots.
     const ScheduleVisitor wrapped = [&](const std::vector<EventId>& s) {
@@ -98,7 +95,6 @@ EnumerateStats enumerate_schedules_parallel_indexed(
     return enumerate_schedules(trace, options, wrapped);
   }
 
-  const search::SearchOptions so = to_search_options(options);
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
@@ -115,7 +111,7 @@ EnumerateStats enumerate_schedules_parallel_indexed(
         engine.seed(options.seed_prefix);
         engine.seed(task.seed);
         engine.attach_worker(&worker, &task);
-        if (indep != nullptr) engine.set_initial_sleep(task.sleep);
+        engine.set_initial_sleep(task.sleep);
         return engine.run();
       });
   return finish(total);

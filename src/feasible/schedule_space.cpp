@@ -61,6 +61,9 @@ search::SearchOptions to_search_options(const ScheduleSpaceOptions& options) {
   so.max_memory_bytes = options.max_memory_bytes;
   so.num_threads = options.num_threads;
   so.steal = options.steal;
+  // Completability is a function of the reachable stepper states, so
+  // the broader stepper-state excusals apply under reduction.
+  so.state_only_excusals = true;
   so.spill = options.spill;
   return so;
 }
@@ -95,9 +98,8 @@ CanPrecedeResult run_search(const Trace& trace,
   }
   const std::size_t threads =
       search::resolve_num_threads(options.num_threads);
-  std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, {}, so.reduction, indep.get(),
-      /*tracker_sensitive=*/false);
+  std::vector<search::SearchTask> roots =
+      search::root_tasks(trace, options.stepper, {}, so, indep.get());
 
   CanPrecedeResult result;
   init_matrices(trace, options, build_matrix, result);
@@ -175,7 +177,7 @@ CanPrecedeResult run_search(const Trace& trace,
             indep.get());
         engine.seed(task.seed);
         engine.attach_worker(&worker, &task);
-        if (indep != nullptr) engine.set_initial_sleep(task.sleep);
+        engine.set_initial_sleep(task.sleep);
         engine.explore(0);
         return engine.take_stats();
       });

@@ -347,12 +347,13 @@ ClassEnumStats enumerate_causal_classes_parallel(
     const Trace& trace, const ClassEnumOptions& options,
     std::size_t num_threads, const SlotClassVisitor& visit) {
   const std::size_t threads = search::resolve_num_threads(num_threads);
-  const bool reduced = options.reduction != search::ReductionMode::kOff;
+  const search::SearchOptions so = to_search_options(options);
   std::unique_ptr<search::IndependenceRelation> indep;
-  if (reduced) indep = std::make_unique<search::IndependenceRelation>(trace);
+  if (so.reduction != search::ReductionMode::kOff) {
+    indep = std::make_unique<search::IndependenceRelation>(trace);
+  }
   std::vector<search::SearchTask> roots = search::root_tasks(
-      trace, options.stepper, options.seed_prefix, options.reduction,
-      indep.get(), /*tracker_sensitive=*/true);
+      trace, options.stepper, options.seed_prefix, so, indep.get());
   if (threads <= 1 || roots.empty()) {
     // Serial fallback also covers empty traces and deadlocked roots.
     const ClassVisitor wrapped = [&](const std::vector<EventId>& s,
@@ -362,7 +363,6 @@ ClassEnumStats enumerate_causal_classes_parallel(
     return enumerate_causal_classes(trace, options, wrapped);
   }
 
-  const search::SearchOptions so = to_search_options(options);
   search::SharedContext ctx(so);
   const search::ScopedAccountant charge_guard(options.charge_store,
                                               &ctx.memory);
@@ -385,24 +385,19 @@ ClassEnumStats enumerate_causal_classes_parallel(
       root_tracker.apply(e, root_stepper.done_bits());
       root_stepper.apply(e);
     }
+    // Must match the serial engine's claim key exactly.
+    const search::PartialOrderReduction por(indep.get(), so);
     std::vector<std::uint64_t> key;
     const std::vector<std::uint64_t>* payload = nullptr;
-    const std::vector<EventId> root_sleep;  // the root sleeps on nothing
     if (prefix_seen.verify_collisions()) {
       root_stepper.encode_key(key);
       root_tracker.extend_key(root_stepper.done_bits(), key);
-      if (reduced) search::extend_key_with_sleep(root_sleep, key);
+      por.extend_key(0, key);
       payload = &key;
     }
-    std::uint64_t root_fp =
-        root_tracker.fingerprint(root_stepper.state_hash());
-    if (reduced) {
-      // Must match the serial engine's claim key exactly: the (state,
-      // sleep set) pair, with an empty sleep set at the root.
-      root_fp = search::fold_sleep(root_fp,
-                                   search::sleep_set_hash(root_sleep));
-    }
-    prefix_seen.insert(root_fp, payload);
+    prefix_seen.insert(
+        por.claim_key(root_tracker.fingerprint(root_stepper.state_hash()), 0),
+        payload);
     ctx.states.fetch_add(1, std::memory_order_relaxed);
     total.states_visited = 1;
     total.depth_states.assign(trace.num_events() + 1, 0);
@@ -424,7 +419,7 @@ ClassEnumStats enumerate_causal_classes_parallel(
         engine.seed(options.seed_prefix);
         engine.seed(task.seed);
         engine.attach_worker(&worker, &task);
-        if (reduced) engine.set_initial_sleep(task.sleep);
+        engine.set_initial_sleep(task.sleep);
         return engine.run();
       }));
   return finish(total, prefix_seen);

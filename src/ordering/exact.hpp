@@ -76,8 +76,6 @@ struct ExactOptions {
   /// `schedules_seen` shrinks further.  Ignored with class_dedup ==
   /// false (the plain enumerator's schedule counts stay exact) and by
   /// interleaving semantics (its matrices need the unreduced sweep).
-  /// kSourceWakeup (the default) adds source sets, wakeup frames and
-  /// tracked dynamic independence on top of the PR-4 sleep sets.
   search::ReductionMode reduction = search::ReductionMode::kSourceWakeup;
   /// Interleaving engine: stop after this many distinct states
   /// (0 = unlimited).

@@ -51,28 +51,26 @@
 //   std::size_t depth)` (called once per completable state, before it is
 //   memoized; may re-enter the search via pair_completable()).
 //
-// Partial-order reduction (SearchOptions::reduction != kOff): both
-// engines thread a sleep set through the DFS — inherited along edges,
-// extended across explored siblings — and, under kSleepPersistent,
-// expand only a persistent subset of the enabled events at each state
-// (search/independence.hpp).  kSourceWakeup sharpens both halves:
-// selection uses source sets with necessary enabling closures and
-// dynamic (state-aware) independence, and sleep inheritance uses
-// per-depth wakeup frames (compute_wakeup_masks) — one independence
-// mask per sleeping/selected event, evaluated at the expanded state —
-// so excused pairs (surplus-token V/V, already-posted Post ops)
-// propagate into child sleep sets instead of being re-split.  The
-// frames are a pure function of (stepper state, sleep set), so dedup/
-// memo claims still key on exactly the (state, sleep set) pair: the
-// reduced subtree below a node is a deterministic function of that
-// pair, which keeps pruning sound and the parallel walk bit-identical
-// to serial.  Donated tasks carry their subtree root's sleep set in
-// SearchTask::sleep, derived from the donor's frame under kSourceWakeup
-// (the same masks the in-walk children use, so donation is just
-// serialization of the frame).  Stuck states are still reported under
-// their raw state fingerprint (not sleep-folded), so distinct-stuck-
-// state counting is reduction-blind.  Soundness per explorer is a
-// front-end decision; see docs/SEARCH.md §POR.
+// Partial-order reduction (SearchOptions::reduction == kSourceWakeup):
+// each engine owns one PartialOrderReduction (search/independence.hpp)
+// and hands it every expanded state.  It expands only a source set of
+// the enabled events (necessary enabling closures plus dynamic,
+// state-aware independence), drops the sleeping ones, and threads a
+// sleep set through the DFS — inherited along edges, extended across
+// explored siblings — through per-depth wakeup frames: one independence
+// mask per sleeping/selected event, evaluated at the expanded state, so
+// excused pairs (surplus-token V/V, already-posted Post ops) propagate
+// into child sleep sets instead of being re-split.  The frames are a
+// pure function of (stepper state, sleep set), so dedup/memo claims key
+// on exactly the (state, sleep set) pair: the reduced subtree below a
+// node is a deterministic function of that pair, which keeps pruning
+// sound and the parallel walk bit-identical to serial.  Donated tasks
+// carry their subtree root's sleep set in SearchTask::sleep, derived
+// from the donor's frame (the same masks the in-walk children use, so
+// donation is just serialization of the frame).  Stuck states are still
+// reported under their raw state fingerprint (not sleep-folded), so
+// distinct-stuck-state counting is reduction-blind.  Soundness per
+// explorer is a front-end decision; see docs/SEARCH.md §POR.
 //
 // Work stealing: in parallel mode each engine instance runs one
 // SearchTask on a scheduler worker (search/scheduler.hpp).  After
@@ -248,20 +246,14 @@ inline std::vector<EventId> root_events(
 /// event after `seed_prefix`, with dewey key {i}.  Empty when the seeded
 /// state is already terminal or stuck (callers fall back to serial).
 /// Under reduction the first level is reduced exactly as the serial
-/// engine would reduce it — tasks cover the persistent/source subset
-/// only, and each carries the sleep set its subtree root inherits from
-/// its earlier siblings — so the parallel walk covers the same reduced
-/// tree.  `tracker_sensitive` must match the engine the tasks will run
-/// on (kSourceWakeup only), mirroring the engines' own
-/// DynamicIndependence construction: false only for MemoizedSearch and
-/// for NullTracker engines running with state_only_excusals set;
-/// true otherwise.
+/// engine would reduce it — tasks cover the source set only, and each
+/// carries the sleep set its subtree root inherits from its earlier
+/// siblings — so the parallel walk covers the same reduced tree.
+/// `options` and `indep` must be the ones the tasks' engines run with.
 inline std::vector<SearchTask> root_tasks(
     const Trace& trace, const StepperOptions& stepper_options,
-    const std::vector<EventId>& seed_prefix = {},
-    ReductionMode reduction = ReductionMode::kOff,
-    const IndependenceRelation* indep = nullptr,
-    bool tracker_sensitive = true) {
+    const std::vector<EventId>& seed_prefix, const SearchOptions& options,
+    const IndependenceRelation* indep) {
   TraceStepper stepper(trace, stepper_options);
   for (EventId e : seed_prefix) {
     EVORD_CHECK(stepper.enabled(e), "seed prefix is not schedulable");
@@ -269,38 +261,17 @@ inline std::vector<SearchTask> root_tasks(
   }
   std::vector<EventId> first;
   stepper.enabled_events(first);
-  const DynamicIndependence dyn(indep, tracker_sensitive);
-  if (indep != nullptr && !first.empty()) {
-    std::vector<EventId> chosen;
-    if (reduction == ReductionMode::kSleepPersistent) {
-      PersistentSetSelector selector(indep);
-      selector.select(stepper, first, chosen);
-      first = std::move(chosen);
-    } else if (reduction == ReductionMode::kSourceWakeup) {
-      SourceSetSelector selector(indep, &dyn);
-      selector.select(stepper, first, chosen, nullptr);
-      first = std::move(chosen);
-    }
-  }
-  // The root's wakeup frame (empty sleep set), for the dynamic child
-  // sleeps — exactly what the serial engine computes at depth 0.
-  const std::vector<EventId> no_sleep;
-  std::vector<std::uint64_t> masks;
-  if (reduction == ReductionMode::kSourceWakeup && indep != nullptr &&
-      first.size() <= 64) {
-    compute_wakeup_masks(dyn, stepper, no_sleep, first, masks, nullptr);
+  PartialOrderReduction por(indep, options);
+  const bool reduce = por.on() && !first.empty();
+  if (reduce) {
+    SearchStats uncounted;  // the engines count the root state themselves
+    por.expand(stepper, 0, first, uncounted, [](EventId) { return true; });
   }
   std::vector<SearchTask> tasks(first.size());
   for (std::size_t i = 0; i < first.size(); ++i) {
     tasks[i].seed.push_back(first[i]);
     tasks[i].dewey.push_back(static_cast<std::uint32_t>(i));
-    if (reduction != ReductionMode::kOff && indep != nullptr) {
-      if (!masks.empty()) {
-        child_sleep_from_masks(no_sleep, first, i, masks, tasks[i].sleep);
-      } else {
-        child_sleep_set(*indep, no_sleep, first, i, tasks[i].sleep);
-      }
-    }
+    if (reduce) por.child_sleep(0, first, i, tasks[i].sleep);
   }
   return tasks;
 }
@@ -319,28 +290,19 @@ class EnumerationSearch {
         tracker_(std::move(tracker)),
         dedup_(std::move(dedup)),
         hooks_(std::move(hooks)),
-        indep_(indep),
-        selector_(indep),
-        // Dynamic independence must preserve the tracker's state exactly
-        // when the engine carries one; NullTracker engines may opt into
-        // the broader stepper-state-only excusals (SearchOptions::
-        // state_only_excusals) when their results are pure functions of
-        // the reachable stepper states.
-        dyn_(indep, !std::is_same_v<Tracker, NullTracker> ||
-                        !options.state_only_excusals),
-        source_selector_(indep, &dyn_),
-        reduce_(options.reduction != ReductionMode::kOff),
-        persistent_(options.reduction == ReductionMode::kSleepPersistent),
-        source_(options.reduction == ReductionMode::kSourceWakeup),
+        por_(indep, options),
         num_events_(trace.num_events()) {
-    EVORD_CHECK(!reduce_ || indep_ != nullptr,
-                "reduction requires an IndependenceRelation");
+    // Dynamic independence must preserve the tracker's state exactly
+    // when the engine carries one.
+    constexpr bool kTracked = !std::is_same_v<Tracker, NullTracker>;
+    EVORD_CHECK(!kTracked || !options.state_only_excusals,
+                "state_only_excusals requires an engine without a tracker");
     // Exact-key mode: when the store holds injective single-word packed
     // states (front-end contract: NullTracker, reduction off, layout
     // fits one word), dedup directly on the packed word — collision-free
     // and cheaper than hashing.
     if constexpr (Dedup::kEnabled) {
-      exact_ = dedup_.exact_keys() && !reduce_;
+      exact_ = dedup_.exact_keys() && !por_.on();
       EVORD_CHECK(!exact_ || (stepper_.layout().single_word() &&
                               std::is_same_v<Tracker, NullTracker>),
                   "exact-key dedup requires a single-word packed layout "
@@ -379,11 +341,10 @@ class EnumerationSearch {
   /// root a task replays to; see SearchTask::sleep).  Reduction only;
   /// must be called before run().
   void set_initial_sleep(std::vector<EventId> sleep) {
-    initial_sleep_ = std::move(sleep);
+    por_.set_initial_sleep(std::move(sleep));
   }
 
   SearchStats run() {
-    if (reduce_) sleep_stack_.assign(1, initial_sleep_);
     dfs(0);
     return stats_;
   }
@@ -402,8 +363,17 @@ class EnumerationSearch {
     tracker_.extend_key(stepper_.done_bits(), key_scratch_);
     // Under reduction the claim keys the (state, sleep set) pair, so the
     // collision-check payload must cover the sleep set too.
-    if (reduce_) extend_key_with_sleep(sleep_stack_[depth], key_scratch_);
+    por_.extend_key(depth, key_scratch_);
     return &key_scratch_;
+  }
+
+  /// Stops the search once the byte budget has tripped.
+  bool out_of_memory() {
+    if (!ctx_->memory.exceeded()) return false;
+    stats_.truncated = true;
+    set_reason(StopReason::kMemory);
+    ctx_->request_stop(StopReason::kMemory);
+    return true;
   }
 
   /// Visits one complete schedule under the strict global terminal
@@ -471,19 +441,11 @@ class EnumerationSearch {
         task.dewey.insert(task.dewey.end(), sibling_index_.begin(),
                           sibling_index_.begin() + d);
         task.dewey.push_back(static_cast<std::uint32_t>(j));
-        if (reduce_) {
-          // The stolen subtree starts from exactly the sleep set the
-          // serial walk would carry into sibling j — under kSourceWakeup
-          // that means the ancestor state's wakeup frame, since dynamic
-          // independence must be evaluated at the DONOR's state d.
-          if (source_ && !mask_stack_[d].empty()) {
-            child_sleep_from_masks(sleep_stack_[d], enabled_stack_[d], j,
-                                   mask_stack_[d], task.sleep);
-          } else {
-            child_sleep_set(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                            task.sleep);
-          }
-        }
+        // The stolen subtree starts from exactly the sleep set the
+        // serial walk would carry into sibling j: the ancestor state's
+        // wakeup frame, since dynamic independence must be evaluated at
+        // the DONOR's state d.
+        if (por_.on()) por_.child_sleep(d, siblings, j, task.sleep);
         worker_->spawn(std::move(task));
       }
       siblings.resize(sibling_index_[d] + 1);
@@ -501,9 +463,8 @@ class EnumerationSearch {
     if constexpr (Dedup::kEnabled) {
       fp = exact_ ? stepper_.packed_word()
                   : tracker_.fingerprint(stepper_.state_hash());
-      const std::uint64_t claim_fp =
-          reduce_ ? fold_sleep(fp, sleep_set_hash(sleep_stack_[depth])) : fp;
-      const ClaimResult claim = dedup_.claim(claim_fp, payload(depth));
+      const ClaimResult claim =
+          dedup_.claim(por_.claim_key(fp, depth), payload(depth));
       if (!claim.expand) {
         ++stats_.dedup_hits;
         return true;
@@ -537,12 +498,7 @@ class EnumerationSearch {
     // Memory is polled per expanded state (one relaxed load): the store
     // charge for this state has just landed, so a budget of N bytes
     // overshoots by at most one state's charge per worker.
-    if (ctx_->memory.exceeded()) {
-      stats_.truncated = true;
-      set_reason(StopReason::kMemory);
-      ctx_->request_stop(StopReason::kMemory);
-      return false;
-    }
+    if (out_of_memory()) return false;
 
     // One vector per depth, reused across siblings (capacity kept); the
     // ctor reserve keeps per-depth slots stable across recursion.
@@ -550,70 +506,28 @@ class EnumerationSearch {
       enabled_stack_.emplace_back();
       sibling_index_.push_back(0);
     }
-    if (reduce_) {
-      stepper_.enabled_events(full_enabled_);
-      if (full_enabled_.empty()) {
-        ++stats_.deadlocked_prefixes;
-        if constexpr (!Dedup::kEnabled) {
-          fp = tracker_.fingerprint(stepper_.state_hash());
-        }
-        // Stuck states report their RAW state fingerprint: the same
-        // deadlocked frontier reached under different sleep contexts is
-        // one stuck state, not several.
-        hooks_.on_stuck(path_, fp, stuck_key(depth));
-        return true;
+    std::vector<EventId>& siblings = enabled_stack_[depth];
+    stepper_.enabled_events(siblings);
+    if (siblings.empty()) {
+      ++stats_.deadlocked_prefixes;
+      if constexpr (!Dedup::kEnabled) {
+        fp = tracker_.fingerprint(stepper_.state_hash());
       }
-      std::vector<EventId>& selected = enabled_stack_[depth];
-      if (persistent_) {
-        selector_.select(stepper_, full_enabled_, selected);
-        stats_.persistent_skipped += full_enabled_.size() - selected.size();
-      } else if (source_) {
-        source_selector_.select(stepper_, full_enabled_, selected,
-                                &stats_.dyn_excused);
-        stats_.persistent_skipped += full_enabled_.size() - selected.size();
-      } else {
-        selected = full_enabled_;
-      }
-      // Drop sleeping events (every schedule through them is equivalent
-      // to one already explored from an earlier sibling of an ancestor).
-      const std::vector<EventId>& zset = sleep_stack_[depth];
-      if (!zset.empty()) {
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < selected.size(); ++i) {
-          if (std::binary_search(zset.begin(), zset.end(), selected[i])) {
-            ++stats_.sleep_pruned;
-          } else {
-            selected[kept++] = selected[i];
-          }
-        }
-        selected.resize(kept);
-      }
+      // Stuck states report their RAW state fingerprint: the same
+      // deadlocked frontier reached under different sleep contexts is
+      // one stuck state, not several.
+      hooks_.on_stuck(path_, fp, stuck_key(depth));
+      // The hook may store or charge (stuck set, witness buffer): a
+      // store that hit the budget must not go unnoticed by a search
+      // that has no state left to poll at.
+      return !out_of_memory();
+    }
+    if (por_.on()) {
+      por_.expand(stepper_, depth, siblings, stats_,
+                  [](EventId) { return true; });
       // Fully slept: not stuck — the state has enabled events, they are
       // just all covered by earlier exploration.
-      if (selected.empty()) return true;
-      // This state's wakeup frame: dynamic-independence masks over the
-      // post-filter selected events, read by the child-sleep computation
-      // below AND by try_split donation from this depth (empty = static
-      // fallback for > 64 selected events).
-      if (source_) {
-        if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
-        if (selected.size() <= 64) {
-          compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
-                               mask_stack_[depth], &stats_.dyn_excused);
-        } else {
-          mask_stack_[depth].clear();
-        }
-      }
-    } else {
-      stepper_.enabled_events(enabled_stack_[depth]);
-      if (enabled_stack_[depth].empty()) {
-        ++stats_.deadlocked_prefixes;
-        if constexpr (!Dedup::kEnabled) {
-          fp = tracker_.fingerprint(stepper_.state_hash());
-        }
-        hooks_.on_stuck(path_, fp, stuck_key(depth));
-        return true;
-      }
+      if (siblings.empty()) return true;
     }
     bool keep_going = true;
     // The loop re-reads size() each iteration: try_split() deeper in the
@@ -622,17 +536,7 @@ class EnumerationSearch {
          keep_going && i < enabled_stack_[depth].size(); ++i) {
       sibling_index_[depth] = static_cast<std::uint32_t>(i);
       const EventId e = enabled_stack_[depth][i];
-      if (reduce_) {
-        if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
-        if (source_ && !mask_stack_[depth].empty()) {
-          child_sleep_from_masks(sleep_stack_[depth], enabled_stack_[depth],
-                                 i, mask_stack_[depth],
-                                 sleep_stack_[depth + 1]);
-        } else {
-          child_sleep_set(*indep_, sleep_stack_[depth], enabled_stack_[depth],
-                          i, sleep_stack_[depth + 1]);
-        }
-      }
+      if (por_.on()) por_.enter(depth, enabled_stack_[depth], i);
       const typename Tracker::Undo tu = tracker_.apply(e, stepper_.done_bits());
       const TraceStepper::Undo su = stepper_.apply(e);
       path_.push_back(e);
@@ -656,21 +560,8 @@ class EnumerationSearch {
   std::vector<std::uint32_t> sibling_index_;
   std::vector<std::uint32_t> dewey_scratch_;
   std::vector<std::uint64_t> key_scratch_;
-  const IndependenceRelation* indep_;
-  PersistentSetSelector selector_;
-  DynamicIndependence dyn_;
-  SourceSetSelector source_selector_;
-  bool reduce_;
-  bool persistent_;
-  bool source_;
+  PartialOrderReduction por_;
   bool exact_ = false;  ///< dedup on the packed word, not a hash
-  std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
-  /// Wakeup frame per depth (kSourceWakeup): dynamic-independence masks
-  /// for (sleep ∪ selected) at that state, shared by the in-walk
-  /// child-sleep computation and try_split donation.
-  std::vector<std::vector<std::uint64_t>> mask_stack_;
-  std::vector<EventId> initial_sleep_;
-  std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
   const SearchTask* task_ = nullptr;
   std::size_t user_seed_len_ = 0;
@@ -694,21 +585,11 @@ class MemoizedSearch {
         memo_(memo),
         stepper_(trace, stepper_options),
         hooks_(std::move(hooks)),
-        indep_(indep),
-        selector_(indep),
-        // Memoized completability depends only on stepper state, so the
-        // untracked (unconditional) excusals apply.
-        dyn_(indep, /*tracker_sensitive=*/false),
-        source_selector_(indep, &dyn_),
-        reduce_(options.reduction != ReductionMode::kOff),
-        persistent_(options.reduction == ReductionMode::kSleepPersistent),
-        source_(options.reduction == ReductionMode::kSourceWakeup),
+        por_(indep, options),
         num_events_(trace.num_events()) {
-    EVORD_CHECK(!reduce_ || indep_ != nullptr,
-                "reduction requires an IndependenceRelation");
     // Exact-key mode: memoize directly on the injective packed word
     // (front-end contract: reduction off, layout fits one word).
-    exact_ = memo_->exact_keys() && !reduce_;
+    exact_ = memo_->exact_keys() && !por_.on();
     EVORD_CHECK(!exact_ || stepper_.layout().single_word(),
                 "exact-key memo requires a single-word packed layout");
     enabled_stack_.reserve(num_events_ + 4);
@@ -732,7 +613,7 @@ class MemoizedSearch {
   /// Installs the sleep set of the engine's start state (see
   /// SearchTask::sleep).  Reduction only; call before explore(0).
   void set_initial_sleep(std::vector<EventId> sleep) {
-    sleep_stack_.assign(1, std::move(sleep));
+    por_.set_initial_sleep(std::move(sleep));
   }
 
   /// True iff the current state can be extended to a complete schedule.
@@ -761,12 +642,9 @@ class MemoizedSearch {
     }
     // Under reduction the memo keys the (state, sleep set) pair: the
     // reduced completability verdict below a node is a deterministic
-    // function of exactly that pair.  New slots start empty (Z = ∅).
-    if (reduce_ && depth >= sleep_stack_.size()) {
-      sleep_stack_.resize(depth + 1);
-    }
-    std::uint64_t fp = exact_ ? stepper_.packed_word() : stepper_.state_hash();
-    if (reduce_) fp = fold_sleep(fp, sleep_set_hash(sleep_stack_[depth]));
+    // function of exactly that pair.
+    const std::uint64_t fp = por_.claim_key(
+        exact_ ? stepper_.packed_word() : stepper_.state_hash(), depth);
     bool memoized = false;
     if (memo_->lookup(fp, &memoized, payload(depth))) {
       ++stats_.dedup_hits;
@@ -790,7 +668,12 @@ class MemoizedSearch {
       donated_upto_.resize(depth + 1, 0);
     }
     stepper_.enabled_events(enabled_stack_[depth]);
-    if (reduce_ && !enabled_stack_[depth].empty()) reduce_enabled(depth);
+    if (por_.on() && !enabled_stack_[depth].empty()) {
+      // Hook-disallowed children are dropped up front: sleep-set
+      // inheritance treats every earlier listed sibling as explored.
+      por_.expand(stepper_, depth, enabled_stack_[depth], stats_,
+                  [&](EventId e) { return hooks_.child_allowed(e, stepper_); });
+    }
     if (tracked) {
       donated_upto_[depth] = 0;
       if (worker_->split_wanted()) try_split(depth);
@@ -804,16 +687,7 @@ class MemoizedSearch {
         sibling_index_[depth] = static_cast<std::uint32_t>(i);
         path_.push_back(e);
       }
-      if (reduce_) {
-        if (sleep_stack_.size() < depth + 2) sleep_stack_.resize(depth + 2);
-        if (source_ && !mask_stack_[depth].empty()) {
-          child_sleep_from_masks(sleep_stack_[depth], enabled_stack_[depth], i,
-                                 mask_stack_[depth], sleep_stack_[depth + 1]);
-        } else {
-          child_sleep_set(*indep_, sleep_stack_[depth], enabled_stack_[depth],
-                          i, sleep_stack_[depth + 1]);
-        }
-      }
+      if (por_.on()) por_.enter(depth, enabled_stack_[depth], i);
       const TraceStepper::Undo u = stepper_.apply(e);
       const bool child_ok = explore(depth + 1);
       stepper_.undo(u);
@@ -845,10 +719,7 @@ class MemoizedSearch {
     // tracking (and thus splitting) until it returns.  Under reduction
     // it starts from an empty sleep set — the query is about THIS
     // specific continuation, not about schedules covered elsewhere.
-    if (reduce_) {
-      if (depth >= sleep_stack_.size()) sleep_stack_.resize(depth + 1);
-      sleep_stack_[depth].clear();
-    }
+    if (por_.on()) por_.clear_sleep(depth);
     ++suspend_;
     const TraceStepper::Undo u1 = stepper_.apply(first);
     bool ok = false;
@@ -877,57 +748,8 @@ class MemoizedSearch {
   const std::vector<std::uint64_t>* payload(std::size_t depth) {
     if (!memo_->verify_collisions()) return nullptr;
     stepper_.encode_key(key_scratch_);
-    if (reduce_) extend_key_with_sleep(sleep_stack_[depth], key_scratch_);
+    por_.extend_key(depth, key_scratch_);
     return &key_scratch_;
-  }
-
-  /// Persistent-selects and sleep-filters enabled_stack_[depth] in
-  /// place.  Also drops hook-disallowed children up front: sleep-set
-  /// inheritance treats every earlier listed sibling as explored, so a
-  /// child the hooks would skip must not enter later siblings' sleep.
-  void reduce_enabled(std::size_t depth) {
-    std::vector<EventId>& selected = enabled_stack_[depth];
-    if (persistent_) {
-      full_enabled_.swap(selected);
-      selector_.select(stepper_, full_enabled_, selected);
-      stats_.persistent_skipped += full_enabled_.size() - selected.size();
-    } else if (source_) {
-      full_enabled_.swap(selected);
-      source_selector_.select(stepper_, full_enabled_, selected,
-                              &stats_.dyn_excused);
-      stats_.persistent_skipped += full_enabled_.size() - selected.size();
-    }
-    const std::vector<EventId>& zset = sleep_stack_[depth];
-    if (!zset.empty()) {
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < selected.size(); ++i) {
-        if (std::binary_search(zset.begin(), zset.end(), selected[i])) {
-          ++stats_.sleep_pruned;
-        } else {
-          selected[kept++] = selected[i];
-        }
-      }
-      selected.resize(kept);
-    }
-    selected.erase(
-        std::remove_if(selected.begin(), selected.end(),
-                       [&](EventId e) {
-                         return !hooks_.child_allowed(e, stepper_);
-                       }),
-        selected.end());
-    // Wakeup frame for this depth, computed once over the FINAL sibling
-    // list (sibling indices below refer to it): consumed by the child
-    // sleep sets in explore() and by try_split donation.  Empty = static
-    // child_sleep_set fallback (> 64 siblings).
-    if (source_) {
-      if (mask_stack_.size() < depth + 1) mask_stack_.resize(depth + 1);
-      if (selected.size() <= 64) {
-        compute_wakeup_masks(dyn_, stepper_, sleep_stack_[depth], selected,
-                             mask_stack_[depth], &stats_.dyn_excused);
-      } else {
-        mask_stack_[depth].clear();
-      }
-    }
   }
 
   /// Answers steal demand by donating the deepest eligible unexplored
@@ -961,15 +783,7 @@ class MemoizedSearch {
         task.dewey.insert(task.dewey.end(), sibling_index_.begin(),
                           sibling_index_.begin() + d);
         task.dewey.push_back(static_cast<std::uint32_t>(j));
-        if (reduce_) {
-          if (source_ && !mask_stack_[d].empty()) {
-            child_sleep_from_masks(sleep_stack_[d], enabled_stack_[d], j,
-                                   mask_stack_[d], task.sleep);
-          } else {
-            child_sleep_set(*indep_, sleep_stack_[d], enabled_stack_[d], j,
-                            task.sleep);
-          }
-        }
+        if (por_.on()) por_.child_sleep(d, siblings, j, task.sleep);
         worker_->spawn(std::move(task));
       }
       donated_upto_[d] = siblings.size();
@@ -988,18 +802,8 @@ class MemoizedSearch {
   std::vector<std::uint32_t> sibling_index_;
   std::vector<std::size_t> donated_upto_;
   std::vector<std::uint64_t> key_scratch_;
-  const IndependenceRelation* indep_;
-  PersistentSetSelector selector_;
-  DynamicIndependence dyn_;
-  SourceSetSelector source_selector_;
-  bool reduce_;
-  bool persistent_;
-  bool source_;
+  PartialOrderReduction por_;
   bool exact_ = false;  ///< memoize on the packed word, not a hash
-  std::vector<std::vector<EventId>> sleep_stack_;  ///< sleep set per depth
-  /// Per-depth wakeup frame (see compute_wakeup_masks); source mode only.
-  std::vector<std::vector<std::uint64_t>> mask_stack_;
-  std::vector<EventId> full_enabled_;  ///< pre-reduction enabled scratch
   WorkerHandle* worker_ = nullptr;
   const SearchTask* task_ = nullptr;
   std::size_t num_events_;

@@ -128,7 +128,8 @@ class FingerprintBoolMap {
   /// Total memoized states across all shards (snapshot under
   /// concurrency).
   std::uint64_t size() const { return core_.size(); }
-  /// Actual resident heap bytes (matches the accountant's charges).
+  /// Actual resident slot-table bytes (the accountant is also charged
+  /// any retained debug payloads).
   std::uint64_t bytes() const noexcept { return core_.bytes(); }
   std::uint64_t spilled_bytes() const noexcept {
     return core_.spilled_bytes();

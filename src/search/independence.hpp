@@ -1,6 +1,6 @@
-// Trace-level independence relation, persistent-set and source-set
-// selection, and dynamic (state-aware) independence for partial-order
-// reduction (search/engine.hpp, SearchOptions::reduction).
+// Trace-level independence relation, source-set selection, dynamic
+// (state-aware) independence and the per-engine reduction state for
+// partial-order reduction (search/engine.hpp, SearchOptions::reduction).
 //
 // Two events are *independent* when, whenever both are enabled, executing
 // them in either order reaches the same state — same stepper frontier AND
@@ -25,46 +25,44 @@
 // would glue every child to its parent and erase the reduction on
 // fork/join-parallel workloads).
 //
-// The persistent-set selector returns, for a given state, a subset P of
-// the enabled events such that every schedule from the state that avoids
-// P executes only events independent of all of P.  Construction (one
-// candidate per enabled seed event, smallest wins):
+// The source-set selector (ReductionMode::kSourceWakeup, after Abdulla
+// et al.'s source sets and Valmari-style stubborn sets) returns, for a
+// given state, a subset P of the enabled events such that every schedule
+// from the state that avoids P executes only events independent of all
+// of P.  Construction (one candidate per enabled seed event):
 //   W := {proc(seed)};  repeat: for p in W with next event a, add every
 //   process q not in W that still has an unexecuted event dependent with
-//   a; give up (return all enabled) if some p in W has its next event
-//   disabled.  P := {next event of p : p in W}.
+//   a — or, when a is DISABLED, a's *necessary enabling set* instead
+//   (processes holding an unexecuted V for a blocked P, an unexecuted
+//   Post for a blocked Wait, the joined child for a blocked Join, the
+//   forking process for an unstarted process, the processes of
+//   unexecuted D-predecessors).  P := the ENABLED next events of W.
 // Soundness: a schedule avoiding P never executes an event of a W
-// process (its next event is in P and program order gates the rest), and
-// by the closure no event of a non-W process is dependent with any next
-// event of W, so every executed event is independent of all of P.  The
-// "∃ unexecuted dependent event" test is O(1) via a precomputed
-// per-(event, process) maximum dependent position.
+// process whose head is enabled (its next event is in P and program
+// order gates the rest); a disabled head never runs before some event
+// of its enabling set, all of whose holders are in W; and by the closure
+// no event of a non-W process is dependent with any enabled head of W,
+// so every executed event is independent of all of P.  The "∃ unexecuted
+// dependent event" test is O(1) via a precomputed per-(event, process)
+// maximum dependent position.
 //
-// The source-set selector (ReductionMode::kSourceWakeup) refines this in
-// two ways, following Abdulla et al.'s source sets and Valmari-style
-// stubborn sets:
-//   * a DISABLED closure head no longer aborts the candidate — instead
-//     the head's *necessary enabling set* joins W (processes holding an
-//     unexecuted V for a blocked P, an unexecuted Post for a blocked
-//     Wait, the joined child for a blocked Join, the forking process for
-//     an unstarted process, the processes of unexecuted D-predecessors).
-//     Any run that ever executes the head must first execute one of
-//     those, so the persistence argument is preserved while P shrinks to
-//     the ENABLED heads only;
-//   * statically dependent pairs can be *dynamically excused* at the
-//     current state (DynamicIndependence below): semaphore V/V when the
-//     current count already covers every remaining P (new tokens are
-//     never popped, so the token-queue order is causally invisible),
-//     Post/Post and Post/Wait when the variable is already posted (the
-//     Post is a no-op), and Clear/Clear always.  Only conditions that
-//     stay true along every P-avoiding run are used inside the closure
-//     (count can only grow while all P-holders are in W; posted cannot
-//     flip while all Clear-holders are in W), which is exactly what the
-//     persistence proof needs.  Engines with no causal tracker
-//     (deadlock, the memoized sweep) get the unconditional variants:
-//     they only need stepper-state commutation, which V/V, Post/Post,
-//     Post/Wait and Clear/Clear satisfy from any state where both are
-//     enabled.
+// Statically dependent pairs can also be *dynamically excused* at the
+// current state (DynamicIndependence below): semaphore V/V when the
+// current count already covers every remaining P (new tokens are never
+// popped, so the token-queue order is causally invisible), Post/Post and
+// Post/Wait when the variable is already posted (the Post is a no-op),
+// and Clear/Clear always.  Only conditions that stay true along every
+// P-avoiding run are used inside the closure (count can only grow while
+// all P-holders are in W; posted cannot flip while all Clear-holders are
+// in W), which is exactly what the persistence proof needs.  Engines
+// whose results are functions of reachable stepper states (deadlock, the
+// memoized sweep; SearchOptions::state_only_excusals) get the
+// unconditional variants: they only need stepper-state commutation,
+// which V/V, Post/Post, Post/Wait and Clear/Clear satisfy from any state
+// where both are enabled.
+//
+// PartialOrderReduction (end of file) is the one per-engine owner of the
+// reduced walk: source set, sleep sets and wakeup frames.
 #pragma once
 
 #include <algorithm>
@@ -73,7 +71,9 @@
 #include <vector>
 
 #include "feasible/stepper.hpp"
+#include "search/search.hpp"
 #include "trace/trace.hpp"
+#include "util/check.hpp"
 #include "util/dynamic_bitset.hpp"
 #include "util/hash.hpp"
 
@@ -99,7 +99,7 @@ class IndependenceRelation {
   }
 
   /// True when per-event process masks are available (<= 64 processes),
-  /// enabling the word-parallel persistent-set closure.
+  /// enabling the word-parallel source-set closure.
   bool has_proc_masks() const { return num_procs_ <= 64; }
   /// Bit q set iff process q has any event dependent with `a`.  All-zero
   /// when has_proc_masks() is false.
@@ -202,9 +202,6 @@ class DynamicIndependence {
   DynamicIndependence(const IndependenceRelation* rel, bool tracker_sensitive)
       : rel_(rel), tracked_(tracker_sensitive) {}
 
-  const IndependenceRelation& relation() const { return *rel_; }
-  bool tracker_sensitive() const { return tracked_; }
-
   /// Do the remaining P ops on `sem` all have tokens already available?
   bool surplus_tokens(const TraceStepper& s, ObjectId sem) const {
     const std::uint32_t remaining =
@@ -246,10 +243,6 @@ class DynamicIndependence {
       return !tracked_ || s.posted(ea.object);
     }
     return false;
-  }
-
-  bool independent_at(const TraceStepper& s, EventId a, EventId b) const {
-    return rel_->independent(a, b) || excused(s, a, b);
   }
 
   /// Closure test for the source-set selector: does process `q` still
@@ -398,118 +391,17 @@ class DynamicIndependence {
   bool tracked_;
 };
 
-/// Per-engine scratch for persistent-set selection (reused per state).
-/// With at most 64 processes the closure runs word-parallel: candidate
-/// processes for each head event come from one AND of the event's
-/// dependent-process mask with the still-active, not-yet-in-W mask,
-/// then only the surviving bits pay the per-process position check.
-/// `force_scalar` keeps the per-process scan (bench comparison knob);
-/// both paths produce identical sets.
-class PersistentSetSelector {
- public:
-  explicit PersistentSetSelector(const IndependenceRelation* indep,
-                                 bool force_scalar = false)
-      : indep_(indep),
-        masked_(indep != nullptr && indep->has_proc_masks() &&
-                !force_scalar) {}
-
-  /// Writes into `out` a persistent subset of `enabled` (which must be
-  /// the state's full enabled list in process-id order, non-empty),
-  /// preserving that order.  Falls back to the full enabled list when
-  /// every closure gives up.  Deterministic: a pure function of the
-  /// stepper state.
-  void select(const TraceStepper& stepper, const std::vector<EventId>& enabled,
-              std::vector<EventId>& out) {
-    const Trace& trace = stepper.trace();
-    const std::size_t num_procs = indep_->num_processes();
-    // Processes with any unexecuted event; fixed for the whole state.
-    std::uint64_t active = 0;
-    if (masked_) {
-      for (ProcId q = 0; q < num_procs; ++q) {
-        if (stepper.next_of(q) != kNoEvent) active |= std::uint64_t{1} << q;
-      }
-    }
-    best_.clear();
-    for (const EventId seed : enabled) {
-      std::uint64_t w_mask = 0;
-      if (masked_) {
-        w_mask = std::uint64_t{1} << trace.event(seed).process;
-      } else {
-        in_w_.assign(num_procs, false);
-        in_w_[trace.event(seed).process] = true;
-      }
-      w_.clear();
-      w_.push_back(trace.event(seed).process);
-      bool ok = true;
-      for (std::size_t head = 0; ok && head < w_.size(); ++head) {
-        const EventId a = stepper.next_of(w_[head]);
-        // Every W process has an unexecuted event (it was added because
-        // one of them is dependent with a next event of W), but that
-        // next event must also be ENABLED: a schedule avoiding a
-        // disabled next event could still be blocked by it forever, so
-        // the persistence argument needs all of P enabled.
-        if (a == kNoEvent || !stepper.enabled(a)) {
-          ok = false;
-          break;
-        }
-        if (masked_) {
-          std::uint64_t cand = indep_->dep_proc_mask(a) & active & ~w_mask;
-          while (cand != 0) {
-            const ProcId q = static_cast<ProcId>(std::countr_zero(cand));
-            cand &= cand - 1;
-            if (indep_->process_has_dependent_after(a, q,
-                                                    stepper.position(q))) {
-              w_mask |= std::uint64_t{1} << q;
-              w_.push_back(q);
-            }
-          }
-          continue;
-        }
-        for (ProcId q = 0; q < num_procs; ++q) {
-          if (in_w_[q] || stepper.next_of(q) == kNoEvent) continue;
-          if (indep_->process_has_dependent_after(a, q,
-                                                  stepper.position(q))) {
-            in_w_[q] = true;
-            w_.push_back(q);
-          }
-        }
-      }
-      if (!ok) continue;
-      if (best_.empty() || w_.size() < best_.size()) best_ = w_;
-      if (best_.size() == 1) break;
-    }
-    out.clear();
-    if (best_.empty()) {  // every closure hit a disabled next event
-      out = enabled;
-      return;
-    }
-    // P = the next (enabled) events of the chosen processes, in the
-    // enabled list's process-id order.
-    for (const EventId e : enabled) {
-      if (std::find(best_.begin(), best_.end(), trace.event(e).process) !=
-          best_.end()) {
-        out.push_back(e);
-      }
-    }
-  }
-
- private:
-  const IndependenceRelation* indep_;
-  bool masked_;
-  std::vector<ProcId> w_;
-  std::vector<ProcId> best_;
-  std::vector<bool> in_w_;
-};
-
 /// Per-engine scratch for source-set selection (ReductionMode::
-/// kSourceWakeup).  Same stubborn-set closure shape as the persistent
-/// selector, with the two refinements from the file comment: disabled
-/// heads pull in their necessary enabling set instead of aborting the
-/// candidate, and dependent-process tests go through the dynamic
-/// (state-aware) independence oracle.  The returned set P is the ENABLED
-/// next events of the closure's process set W; candidates are scored by
-/// (|P|, |W|), smallest wins.  Deterministic: a pure function of the
-/// stepper state.
+/// kSourceWakeup): the closure from the file comment, with dependent-
+/// process tests going through the dynamic (state-aware) independence
+/// oracle.  With at most 64 processes the closure runs word-parallel:
+/// candidate processes for each head come from one AND of the head's
+/// dependent-process mask with the still-active, not-yet-in-W mask, and
+/// only the surviving bits pay the per-process position check; beyond 64
+/// a per-process scan gives the same sets.  The returned set P is the
+/// ENABLED next events of the closure's process set W; candidates are
+/// scored by (|P|, |W|), smallest wins.  Deterministic: a pure function
+/// of the stepper state.
 class SourceSetSelector {
  public:
   SourceSetSelector(const IndependenceRelation* indep,
@@ -619,122 +511,198 @@ class SourceSetSelector {
 };
 
 // ----------------------------------------------------------------------
-// Sleep-set plumbing shared by the engines and the explorer front-ends
-// (root claims must fold exactly like engine claims).
-
-inline constexpr std::uint64_t kSleepHashSeed = 0x632be59bd9b4e019ull;
-inline constexpr std::uint64_t kSleepHashSalt = 0xd6e8feb86659fd93ull;
-inline constexpr std::uint64_t kSleepFoldSalt = 0xa0761d6478bd642full;
-inline constexpr std::uint64_t kSleepKeySentinel = 0xe7037ed1a0b428dbull;
-
-/// Order-sensitive hash of a sorted sleep set.
-inline std::uint64_t sleep_set_hash(const std::vector<EventId>& sleep) {
-  std::uint64_t h = kSleepHashSeed;
-  for (const EventId e : sleep) h = hash_mix(kSleepHashSalt, h, e);
-  return h;
-}
-
-/// Folds the sleep-set hash into a state fingerprint.  Under reduction
-/// the dedup/memo key is the (state, sleep set) pair: the reduced
-/// subtree below a node is a deterministic function of exactly that
-/// pair, so claims keyed this way prune only genuinely identical
-/// subtrees (the classical sleep-sets-with-state-matching pitfall is
-/// avoided by construction).
-inline std::uint64_t fold_sleep(std::uint64_t fp, std::uint64_t sleep_hash) {
-  return hash_mix(kSleepFoldSalt, fp, sleep_hash);
-}
-
-/// Extends a debug collision-check payload with the sleep set, matching
-/// fold_sleep's contribution to the fingerprint.
-inline void extend_key_with_sleep(const std::vector<EventId>& sleep,
-                                  std::vector<std::uint64_t>& key) {
-  key.push_back(kSleepKeySentinel ^ sleep.size());
-  for (const EventId e : sleep) key.push_back(e);
-}
-
-/// The sleep set a child inherits: keep every event of the parent's
-/// sleep set and every earlier-explored sibling that is independent of
-/// the chosen event, sorted by id (sleep and earlier siblings are
-/// disjoint — siblings are drawn from P \ sleep).
-inline void child_sleep_set(const IndependenceRelation& indep,
-                            const std::vector<EventId>& sleep,
-                            const std::vector<EventId>& selected,
-                            std::size_t chosen_index,
-                            std::vector<EventId>& out) {
-  const EventId chosen = selected[chosen_index];
-  out.clear();
-  for (const EventId x : sleep) {
-    if (indep.independent(x, chosen)) out.push_back(x);
-  }
-  for (std::size_t j = 0; j < chosen_index; ++j) {
-    if (indep.independent(selected[j], chosen)) out.push_back(selected[j]);
-  }
-  std::sort(out.begin(), out.end());
-}
-
-// ----------------------------------------------------------------------
-// Wakeup frames (ReductionMode::kSourceWakeup).
+// The reduced walk, one engine at a time.
 //
-// Under dynamic independence the sleep set a child inherits depends on
-// independence evaluated AT the parent state — and a donated subtree's
-// root sleep must be computed from the DONOR's ancestor state, not the
-// thief's.  Each engine therefore keeps one wakeup frame per DFS depth:
-// for every event x in (sleep ∪ selected), a bitmask over the selected
-// indices j with x independent-of-selected[j] at that state.  The frame
-// is computed once per expanded state and read by both the in-walk
-// child-sleep computation and try_split donation, which is what
-// serializes the wakeup scheduling state across work stealing (the
-// donated SearchTask::sleep is a pure function of the frame).  Frames
-// need selected.size() <= 64; beyond that engines fall back to the
-// static child_sleep_set — still sound, just coarser, and a
+// Sleep sets: a state's sleep set holds events whose every schedule is
+// covered by an earlier-explored sibling of an ancestor; they are not
+// expanded.  Each child inherits the sleeping events and the earlier
+// siblings that commute with the chosen event.  Under dynamic
+// independence "commute" is evaluated AT the parent state, and a donated
+// subtree's root sleep must come from the DONOR's ancestor state, not
+// the thief's.  So each depth keeps a *wakeup frame*: for every event x
+// in (sleep ∪ siblings), a bitmask over the sibling indices j with x
+// independent-of-siblings[j] at that state.  The frame is computed once
+// per expanded state and read both by the in-walk child sleeps and by
+// work-stealing donation, which is what serializes the wakeup state
+// across steals (a donated SearchTask::sleep is a pure function of the
+// frame).  Frames need at most 64 siblings; beyond that the child sleep
+// falls back to the static relation — still sound, just coarser, and a
 // deterministic function of the state either way.
+//
+// Under reduction the dedup/memo key is the (state, sleep set) pair: the
+// reduced subtree below a node is a deterministic function of exactly
+// that pair, so claims keyed this way prune only genuinely identical
+// subtrees (the classical sleep-sets-with-state-matching pitfall is
+// avoided by construction).
 
-/// Fills `masks` (one word per event of sleep ++ selected; bit j =
-/// independent of selected[j] at the stepper's state).  Requires
-/// selected.size() <= 64.
-inline void compute_wakeup_masks(const DynamicIndependence& dyn,
-                                 const TraceStepper& stepper,
-                                 const std::vector<EventId>& sleep,
-                                 const std::vector<EventId>& selected,
-                                 std::vector<std::uint64_t>& masks,
-                                 std::uint64_t* excused_ctr) {
-  const IndependenceRelation& rel = dyn.relation();
-  masks.assign(sleep.size() + selected.size(), 0);
-  for (std::size_t i = 0; i < masks.size(); ++i) {
-    const EventId x = i < sleep.size() ? sleep[i] : selected[i - sleep.size()];
-    std::uint64_t m = 0;
-    for (std::size_t j = 0; j < selected.size(); ++j) {
-      const EventId y = selected[j];
-      if (x == y) continue;
-      if (rel.independent(x, y)) {
-        m |= std::uint64_t{1} << j;
-      } else if (dyn.excused(stepper, x, y)) {
-        m |= std::uint64_t{1} << j;
-        if (excused_ctr != nullptr) ++*excused_ctr;
+/// One engine's partial-order reduction (SearchOptions::reduction): the
+/// source-set selector, the dynamic-independence oracle behind it, and
+/// the per-depth sleep sets and wakeup frames.  Both engines and
+/// root_tasks go through it, so the reduced tree is defined once.
+/// Depths count the events applied since the engine's start state, so
+/// they never exceed the trace's event count; a depth never written
+/// holds the empty sleep set.  With reduction off, claim_key() and
+/// extend_key() leave the key unchanged and the sleep sets are unused.
+class PartialOrderReduction {
+ public:
+  /// `indep` is required unless options.reduction is kOff.  Dynamic
+  /// independence preserves the causal tracker's state unless the front
+  /// end set SearchOptions::state_only_excusals.
+  PartialOrderReduction(const IndependenceRelation* indep,
+                        const SearchOptions& options)
+      : indep_(indep),
+        dyn_(indep, !options.state_only_excusals),
+        selector_(indep, &dyn_),
+        on_(options.reduction != ReductionMode::kOff) {
+    EVORD_CHECK(!on_ || indep_ != nullptr,
+                "reduction requires an IndependenceRelation");
+    if (on_) {
+      sleep_.resize(indep_->num_events() + 1);
+      masks_.resize(indep_->num_events() + 1);
+    }
+  }
+  // selector_ points at dyn_.
+  PartialOrderReduction(const PartialOrderReduction&) = delete;
+  PartialOrderReduction& operator=(const PartialOrderReduction&) = delete;
+
+  bool on() const { return on_; }
+
+  /// Installs the sleep set of the start state (a task's subtree root,
+  /// see SearchTask::sleep).
+  void set_initial_sleep(std::vector<EventId> sleep) {
+    if (on_) sleep_[0] = std::move(sleep);
+  }
+  /// Empties the sleep set at `depth` (a re-entrant walk's start).
+  void clear_sleep(std::size_t depth) { sleep_[depth].clear(); }
+
+  /// The dedup/memo key of the state at `depth`: `fp` with the sleep set
+  /// folded in (order-sensitive over the sorted set); `fp` itself when
+  /// reduction is off.
+  std::uint64_t claim_key(std::uint64_t fp, std::size_t depth) const {
+    if (!on_) return fp;
+    std::uint64_t h = kSleepHashSeed;
+    for (const EventId e : sleep_[depth]) h = hash_mix(kSleepHashSalt, h, e);
+    return hash_mix(kSleepFoldSalt, fp, h);
+  }
+  /// Extends a debug collision-check payload with the sleep set at
+  /// `depth`, matching claim_key's contribution; nothing when off.
+  void extend_key(std::size_t depth, std::vector<std::uint64_t>& key) const {
+    if (!on_) return;
+    const std::vector<EventId>& zset = sleep_[depth];
+    key.push_back(kSleepKeySentinel ^ zset.size());
+    for (const EventId e : zset) key.push_back(e);
+  }
+
+  /// Reduces `events` — the full enabled list of the state at `depth`,
+  /// in process-id order, non-empty — in place to the siblings the
+  /// reduced walk expands: the source set, minus sleeping events, minus
+  /// events `keep` rejects (a child the engine would skip must not enter
+  /// later siblings' sleep sets), order preserved.  Then computes the
+  /// depth's wakeup frame over that final list.  An empty result means
+  /// the state is fully slept.  Counts persistent_skipped, sleep_pruned
+  /// and dyn_excused into `stats`.
+  template <class Keep>
+  void expand(const TraceStepper& stepper, std::size_t depth,
+              std::vector<EventId>& events, SearchStats& stats,
+              const Keep& keep) {
+    full_.swap(events);
+    selector_.select(stepper, full_, events, &stats.dyn_excused);
+    stats.persistent_skipped += full_.size() - events.size();
+    const std::vector<EventId>& zset = sleep_[depth];
+    std::size_t kept = 0;
+    for (const EventId e : events) {
+      if (!zset.empty() && std::binary_search(zset.begin(), zset.end(), e)) {
+        ++stats.sleep_pruned;
+      } else if (keep(e)) {
+        events[kept++] = e;
       }
     }
-    masks[i] = m;
+    events.resize(kept);
+    if (!events.empty()) compute_frame(stepper, depth, events, stats);
   }
-}
 
-/// child_sleep_set evaluated through a wakeup frame: keep every sleeping
-/// event and every earlier sibling whose frame bit for the chosen index
-/// is set, sorted by id.  `sleep` must be the frame's sleep set;
-/// `selected` may have had its tail donated away (indices are stable).
-inline void child_sleep_from_masks(const std::vector<EventId>& sleep,
-                                   const std::vector<EventId>& selected,
-                                   std::size_t chosen_index,
-                                   const std::vector<std::uint64_t>& masks,
-                                   std::vector<EventId>& out) {
-  const std::uint64_t bit = std::uint64_t{1} << chosen_index;
-  out.clear();
-  for (std::size_t i = 0; i < sleep.size(); ++i) {
-    if ((masks[i] & bit) != 0) out.push_back(sleep[i]);
+  /// The sleep set sibling `i` of the state at `depth` carries into its
+  /// subtree, sorted by id: every sleeping event and every earlier
+  /// sibling that commutes with siblings[i] (sleep and siblings are
+  /// disjoint).  `siblings` is the list expand() produced at `depth`; its
+  /// tail may since have been donated away (indices are stable).
+  void child_sleep(std::size_t depth, const std::vector<EventId>& siblings,
+                   std::size_t i, std::vector<EventId>& out) const {
+    const std::vector<EventId>& zset = sleep_[depth];
+    const std::vector<std::uint64_t>& masks = masks_[depth];
+    out.clear();
+    if (!masks.empty()) {
+      const std::uint64_t bit = std::uint64_t{1} << i;
+      for (std::size_t k = 0; k < zset.size(); ++k) {
+        if ((masks[k] & bit) != 0) out.push_back(zset[k]);
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        if ((masks[zset.size() + j] & bit) != 0) out.push_back(siblings[j]);
+      }
+    } else {
+      const EventId chosen = siblings[i];
+      for (const EventId x : zset) {
+        if (indep_->independent(x, chosen)) out.push_back(x);
+      }
+      for (std::size_t j = 0; j < i; ++j) {
+        if (indep_->independent(siblings[j], chosen)) {
+          out.push_back(siblings[j]);
+        }
+      }
+    }
+    std::sort(out.begin(), out.end());
   }
-  for (std::size_t j = 0; j < chosen_index; ++j) {
-    if ((masks[sleep.size() + j] & bit) != 0) out.push_back(selected[j]);
+
+  /// Installs sibling `i`'s sleep set at depth + 1, before the walk
+  /// descends into it.
+  void enter(std::size_t depth, const std::vector<EventId>& siblings,
+             std::size_t i) {
+    child_sleep(depth, siblings, i, sleep_[depth + 1]);
   }
-  std::sort(out.begin(), out.end());
-}
+
+ private:
+  static constexpr std::uint64_t kSleepHashSeed = 0x632be59bd9b4e019ull;
+  static constexpr std::uint64_t kSleepHashSalt = 0xd6e8feb86659fd93ull;
+  static constexpr std::uint64_t kSleepFoldSalt = 0xa0761d6478bd642full;
+  static constexpr std::uint64_t kSleepKeySentinel = 0xe7037ed1a0b428dbull;
+
+  /// The wakeup frame of the state at `depth` over its final sibling
+  /// list `events` (non-empty).
+  void compute_frame(const TraceStepper& stepper, std::size_t depth,
+                     const std::vector<EventId>& events, SearchStats& stats) {
+    const std::vector<EventId>& zset = sleep_[depth];
+    std::vector<std::uint64_t>& masks = masks_[depth];
+    if (events.size() > 64) {
+      masks.clear();  // static fallback in child_sleep()
+      return;
+    }
+    masks.assign(zset.size() + events.size(), 0);
+    for (std::size_t i = 0; i < masks.size(); ++i) {
+      const EventId x = i < zset.size() ? zset[i] : events[i - zset.size()];
+      std::uint64_t m = 0;
+      for (std::size_t j = 0; j < events.size(); ++j) {
+        const EventId y = events[j];
+        if (x == y) continue;
+        if (indep_->independent(x, y)) {
+          m |= std::uint64_t{1} << j;
+        } else if (dyn_.excused(stepper, x, y)) {
+          m |= std::uint64_t{1} << j;
+          ++stats.dyn_excused;
+        }
+      }
+      masks[i] = m;
+    }
+  }
+
+  const IndependenceRelation* indep_;
+  DynamicIndependence dyn_;
+  SourceSetSelector selector_;
+  bool on_;
+  std::vector<std::vector<EventId>> sleep_;  ///< sleep set per depth
+  /// Wakeup frame per depth: masks over (sleep ++ siblings); empty =
+  /// more than 64 siblings (static child sleeps).
+  std::vector<std::vector<std::uint64_t>> masks_;
+  std::vector<EventId> full_;  ///< pre-reduction enabled scratch
+};
 
 }  // namespace evord::search

@@ -49,10 +49,10 @@ struct SearchTask {
   /// donation time — sleep sets are inherited along DFS edges, so a
   /// stolen subtree must start from exactly the sleep set the serial
   /// walk would carry into it; engines install it via
-  /// set_initial_sleep().  Under kSourceWakeup the donor derives it
-  /// from its per-depth wakeup frame (the dynamic-independence masks it
-  /// computed when expanding the donated child's parent), so donation
-  /// serializes the frame: the thief starts from the exact conditional
+  /// set_initial_sleep().  The donor derives it from its per-depth
+  /// wakeup frame (the dynamic-independence masks it computed when
+  /// expanding the donated child's parent), so donation serializes the
+  /// frame: the thief starts from the exact conditional
   /// sleep set the donor's in-walk child would carry, and the parallel
   /// walk stays bit-identical to serial.  Empty when reduction is off.
   std::vector<EventId> sleep;

@@ -35,27 +35,21 @@ const char* to_string(StopReason reason);
 /// counts or interleaving-semantics matrices; each explorer front-end
 /// picks the default that matches its semantics (docs/SEARCH.md §POR).
 enum class ReductionMode : std::uint8_t {
+  /// The full schedule tree: the differential baseline every reduced
+  /// result is tested against.
   kOff = 0,
-  /// Sleep sets only: every state is still reachable, but transitions
-  /// whose trace was covered by an earlier sibling are pruned.
-  kSleep = 1,
-  /// Sleep sets + persistent sets (the full reduction): at each state
-  /// only a provably sufficient subset of the enabled events is
-  /// expanded.  All transition-less (terminal / stuck) states remain
-  /// reachable, so verdict- and class-level results are preserved.
-  kSleepPersistent = 2,
-  /// Sleep sets + source sets + dynamic independence (the optimal-mode
-  /// refinement, see docs/SEARCH.md §6): the source-set selector closes
-  /// over *necessary enabling sets* instead of giving up when a closure
-  /// head is disabled, and state-aware (conditional) independence
-  /// reclaims commutations the static relation misses — semaphore V/V
-  /// with enough surplus tokens, Post/Post and Post/Wait on an already
-  /// posted variable, Clear/Clear — evaluated per state through the
-  /// per-depth wakeup frames the engines maintain (and serialize across
-  /// work-stealing donation).  Same soundness class as kSleepPersistent:
-  /// every transition-less state stays reachable and causal classes are
-  /// preserved, with strictly fewer explored schedules.
-  kSourceWakeup = 3,
+  /// Sleep sets + source sets + dynamic independence (docs/SEARCH.md
+  /// §6): at each state only a source set of the enabled events is
+  /// expanded, closed over *necessary enabling sets* for disabled
+  /// heads, and state-aware (conditional) independence reclaims
+  /// commutations the static relation misses — semaphore V/V with enough
+  /// surplus tokens, Post/Post and Post/Wait on an already posted
+  /// variable, Clear/Clear — evaluated per state through the per-depth
+  /// wakeup frames the engines maintain (and serialize across
+  /// work-stealing donation).  Every transition-less (terminal / stuck)
+  /// state stays reachable, so verdict- and class-level results are
+  /// preserved.
+  kSourceWakeup = 1,
 };
 
 const char* to_string(ReductionMode mode);
@@ -102,8 +96,8 @@ struct SearchOptions {
   std::size_t num_threads = 1;
   /// Work-stealing knobs (steal_grain / max_split_depth / steal_seed).
   StealOptions steal;
-  /// Partial-order reduction (sleep sets + persistent sets).  Engines
-  /// running with a mode other than kOff must be handed an
+  /// Partial-order reduction (source sets + sleep sets + wakeup frames).
+  /// Engines running with kSourceWakeup must be handed an
   /// IndependenceRelation (search/independence.hpp).  Explorer
   /// front-ends choose soundness-matched defaults; see docs/SEARCH.md.
   ReductionMode reduction = ReductionMode::kOff;
@@ -112,9 +106,9 @@ struct SearchOptions {
   /// commute unconditionally instead of under their class-preserving
   /// conditions (surplus tokens / already posted).  Sound solely for
   /// front-ends whose results are functions of reachable stepper states
-  /// (deadlock search); front-ends that surface schedules or causal
-  /// classes must leave it false.  Ignored by engines carrying a causal
-  /// tracker (they always use the conditional excusals).
+  /// (deadlock search, the memoized completability sweep); front-ends
+  /// that surface schedules or causal classes must leave it false.  An
+  /// engine carrying a causal tracker rejects it.
   bool state_only_excusals = false;
   /// Spill the dedup/memo store's cold shards to an mmap-backed temp
   /// file when the byte budget nears exhaustion, instead of stopping
@@ -146,11 +140,10 @@ struct SearchStats {
   std::uint64_t deadlocked_prefixes = 0;  ///< stuck states reached
   /// Enabled events skipped because they were in the state's sleep set
   /// (their Mazurkiewicz trace was covered by an earlier sibling).  Zero
-  /// unless SearchOptions::reduction enables sleep sets.
+  /// unless SearchOptions::reduction is on.
   std::uint64_t sleep_pruned = 0;
-  /// Enabled events skipped because the chosen persistent set (or, under
-  /// kSourceWakeup, the chosen source set) did not contain them.  Zero
-  /// unless reduction selects subsets of the enabled events.
+  /// Enabled events skipped because the chosen source set did not
+  /// contain them.  Zero unless SearchOptions::reduction is on.
   std::uint64_t persistent_skipped = 0;
   /// Statically dependent pairs excused by dynamic (state-aware)
   /// independence — inside the source-set closure and the wakeup-frame

@@ -300,15 +300,26 @@ void PackedStateRegistry::place(Shard& s, std::uint64_t v,
                                       (s.resident_count + 1) * 8 > slots * 7);
   // A doubling transiently triples this shard's footprint.  Near the
   // budget it is skipped while an empty slot remains (probe runs grow,
-  // results are unaffected), so the overshoot past the limit stays
-  // small; a displacement overflow still forces it.
-  if (grow_now && !s.table.empty() && s.resident_count + 1 < slots &&
-      accountant_ != nullptr && accountant_->limit() != 0 &&
-      accountant_->bytes() + s.resident_bytes >= accountant_->limit()) {
+  // results are unaffected).  When the table is full or a displacement
+  // overflows, the doubling would cross the budget: it trips the
+  // accountant instead, as an injected store failure does, and the key
+  // stays out (the caller treats it as new; the search stops with
+  // StopReason::kMemory at its next poll).  Spill mode still doubles,
+  // since its sweep relieves the budget.
+  const auto capped = [&] {
+    return !s.table.empty() && accountant_ != nullptr &&
+           accountant_->limit() != 0 &&
+           accountant_->bytes() + s.resident_bytes >= accountant_->limit();
+  };
+  if (grow_now && s.resident_count + 1 < slots && capped()) {
     grow_now = false;
   }
   for (;; grow_now = true) {
     if (grow_now) {
+      if (!spill_ && capped()) {
+        accountant_->exhaust();
+        return;
+      }
       grow(s, s.table.empty()
                   ? std::max(min_home_bits_, std::min(1u, quotient_bits_))
                   : s.home_bits + 1);
@@ -396,8 +407,8 @@ void PackedStateRegistry::check_payload(
   const auto [it, inserted] = s.payloads.try_emplace(key, *payload);
   if (inserted) {
     const std::uint64_t d = payload->size() * sizeof(std::uint64_t);
-    s.payload_bytes += d;
     charged_.fetch_add(d, std::memory_order_relaxed);
+    payload_bytes_.fetch_add(d, std::memory_order_relaxed);
     if (accountant_ != nullptr) accountant_->charge(d);
   } else {
     EVORD_CHECK(it->second == *payload,

@@ -45,9 +45,9 @@
 //     store behaves exactly as before: the accountant trips and the
 //     search stops with StopReason::kMemory.
 //
-// Memory accounting is real: bytes() reports the store's actual heap
-// footprint (slot tables + retained debug payloads),
-// and the attached accountant is charged/released the same deltas.
+// Memory accounting is real: bytes() reports the store's actual slot
+// table heap, and the attached accountant is charged/released the same
+// deltas plus the retained debug payloads (collision verification).
 #pragma once
 
 #include <atomic>
@@ -413,10 +413,12 @@ class PackedStateRegistry {
   /// Total distinct keys (resident + spilled).  Thread-safe snapshot.
   std::uint64_t size() const;
 
-  /// Actual resident heap bytes (slot tables, retained debug payloads).
-  /// Matches what the accountant was charged.
+  /// Actual resident slot-table heap bytes.  The accountant is charged
+  /// these plus the retained debug payloads, which exist only to
+  /// cross-check collisions.
   std::uint64_t bytes() const noexcept {
-    return charged_.load(std::memory_order_relaxed);
+    return charged_.load(std::memory_order_relaxed) -
+           payload_bytes_.load(std::memory_order_relaxed);
   }
   /// Bytes written to the spill tier so far / spill sweeps performed.
   std::uint64_t spilled_bytes() const noexcept {
@@ -443,7 +445,6 @@ class PackedStateRegistry {
     std::uint64_t count = 0;           ///< distinct keys, resident + spilled
     std::uint64_t resident_count = 0;  ///< keys currently in the table
     std::uint64_t resident_bytes = 0;  ///< tracked table heap bytes
-    std::uint64_t payload_bytes = 0;   ///< retained debug payload bytes
     std::vector<SpillRun> runs;
     /// Populated only in collision-verification mode.
     std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> payloads;
@@ -491,7 +492,8 @@ class PackedStateRegistry {
   bool synchronized_ = true;
   bool spill_ = false;
   MemoryAccountant* accountant_ = nullptr;
-  std::atomic<std::uint64_t> charged_{0};
+  std::atomic<std::uint64_t> charged_{0};   ///< tables + payloads
+  std::atomic<std::uint64_t> payload_bytes_{0};
   std::atomic<std::uint64_t> spilled_bytes_{0};
   std::atomic<std::uint64_t> spill_events_{0};
 

@@ -1,8 +1,8 @@
 // Partial-order reduction equivalence suite.
 //
-// The reduction (search/independence.hpp: sleep sets + persistent sets,
-// and — under kSourceWakeup — source sets, wakeup frames and dynamic
-// independence; engine plumbing in search/engine.hpp) promises:
+// The reduction (search/independence.hpp: source sets, sleep sets,
+// wakeup frames and dynamic independence; engine plumbing in
+// search/engine.hpp) promises:
 //   * class enumeration delivers the SAME set of complete causal classes
 //     with reduction on as off (only the per-class schedule multiplicity
 //     shrinks),
@@ -28,6 +28,7 @@
 #include "ordering/causal.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "ordering/exact.hpp"
+#include "search/independence.hpp"
 #include "search/search.hpp"
 #include "trace/builder.hpp"
 #include "util/rng.hpp"
@@ -120,9 +121,6 @@ TEST(Por, ClassSetsMatchUnreduced) {
       SCOPED_TRACE(label + " seed " + std::to_string(seed));
       const std::set<ClassKey> full =
           enumerated_classes(trace, ReductionMode::kOff);
-      EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSleep), full);
-      EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSleepPersistent),
-                full);
       EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSourceWakeup),
                 full);
     }
@@ -179,7 +177,7 @@ TEST(Por, DeadlockVerdictAndStuckCountMatchUnreduced) {
       const DeadlockReport full = analyze_deadlocks(trace, off);
       const DeadlockReport reduced = analyze_deadlocks(trace, {});
       EXPECT_EQ(reduced.can_deadlock, full.can_deadlock);
-      // Sleep + persistent sets preserve every transition-less state.
+      // Source sets preserve every transition-less state.
       EXPECT_EQ(reduced.stuck_states, full.stuck_states);
       EXPECT_LE(reduced.states_visited, full.states_visited);
       if (reduced.can_deadlock) {
@@ -189,6 +187,54 @@ TEST(Por, DeadlockVerdictAndStuckCountMatchUnreduced) {
     }
   }
   EXPECT_GT(deadlocking, 0u) << "no family exercised the deadlock path";
+}
+
+TEST(Por, MoreThan64ProcessesMatchUnreduced) {
+  // Past 64 processes the source-set closure has no per-event process
+  // masks and scans processes one by one.  A token ring of 65 processes
+  // runs in one fixed order; beside it, two free processes take two
+  // semaphores in opposite orders (a reachable deadlock) and a third
+  // writes a variable one ring process reads.
+  TraceBuilder b;
+  constexpr std::size_t kRing = 65;
+  std::vector<ObjectId> token;
+  for (std::size_t i = 0; i < kRing; ++i) {
+    token.push_back(b.semaphore("t" + std::to_string(i), i == 0 ? 1 : 0));
+  }
+  const VarId x = b.variable("x");
+  const ObjectId s = b.semaphore("s", 1);
+  const ObjectId t = b.semaphore("t", 1);
+  const ProcId writer = b.add_process();
+  b.compute(writer, "x := 1", {}, {x});
+  for (std::size_t i = 0; i < kRing; ++i) {
+    const ProcId p = b.add_process();
+    b.sem_p(p, token[i]);
+    if (i == kRing / 2) b.compute(p, "read x", {x}, {});
+    b.sem_v(p, token[(i + 1) % kRing]);
+  }
+  const ProcId f1 = b.add_process();
+  const ProcId f2 = b.add_process();
+  b.sem_p(f1, s);
+  b.sem_p(f1, t);
+  b.sem_v(f1, t);
+  b.sem_v(f1, s);
+  b.sem_p(f2, t);
+  b.sem_p(f2, s);
+  b.sem_v(f2, s);
+  b.sem_v(f2, t);
+  const Trace trace = b.build();
+  ASSERT_FALSE(search::IndependenceRelation(trace).has_proc_masks());
+
+  EXPECT_EQ(enumerated_classes(trace, ReductionMode::kSourceWakeup),
+            enumerated_classes(trace, ReductionMode::kOff));
+  DeadlockOptions off;
+  off.reduction = ReductionMode::kOff;
+  const DeadlockReport full = analyze_deadlocks(trace, off);
+  const DeadlockReport reduced = analyze_deadlocks(trace, {});
+  EXPECT_TRUE(full.can_deadlock);
+  EXPECT_EQ(reduced.can_deadlock, full.can_deadlock);
+  EXPECT_EQ(reduced.stuck_states, full.stuck_states);
+  expect_valid_witness(trace, reduced.witness_prefix);
 }
 
 TEST(Por, ExactMatricesMatchUnreduced) {

@@ -19,6 +19,7 @@
 #include "feasible/stepper.hpp"
 #include "ordering/class_enumerate.hpp"
 #include "ordering/exact.hpp"
+#include "reductions/reduction.hpp"
 #include "helpers.hpp"
 #include "search/fingerprint_set.hpp"
 #include "search/memory.hpp"
@@ -686,6 +687,34 @@ TEST(SearchBudgets, MemoryBudgetStopsDeadlockSearch) {
   EXPECT_LT(r.states_visited, full.states_visited);
 }
 
+TEST(SearchBudgets, OneShardStoresStayWithinByteBudget) {
+  // The serial deadlock search and the serial memoized sweep each keep
+  // one store shard, so near the budget one table doubling would cross
+  // it; the store trips the accountant instead.  Unreduced, the
+  // Theorem-1 trace of (1∨1∨2)(¬1∨¬1∨2)(1∨¬2∨3) outgrows every budget
+  // here.
+  CnfFormula f;
+  f.add_clause({1, 1, 2});
+  f.add_clause({-1, -1, 2});
+  f.add_clause({1, -2, 3});
+  const Trace trace = execute_reduction(reduce_3sat_semaphores(f)).trace;
+  for (const std::uint64_t budget : {2048u, 4096u, 8192u, 16384u}) {
+    SCOPED_TRACE("budget " + std::to_string(budget));
+    DeadlockOptions dl;
+    dl.reduction = search::ReductionMode::kOff;
+    dl.max_memory_bytes = budget;
+    const DeadlockReport d = analyze_deadlocks(trace, dl);
+    EXPECT_EQ(d.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_LE(d.search.memo_bytes, budget + budget / 10);
+
+    ScheduleSpaceOptions sso;
+    sso.max_memory_bytes = budget;
+    const CanPrecedeResult cp = compute_can_precede(trace, sso);
+    EXPECT_EQ(cp.search.stop_reason, search::StopReason::kMemory);
+    EXPECT_LE(cp.search.memo_bytes, budget + budget / 10);
+  }
+}
+
 TEST(SearchBudgets, MemoizedSearchPollsDeadlineOnMemoHits) {
   // Regression: the memo-hit fast path used to skip the budget poll, so
   // a search spending all its time on hits never noticed an expired
@@ -708,9 +737,8 @@ TEST(SearchBudgets, MemoizedSearchPollsDeadlineOnMemoHits) {
 TEST(SearchStats, ReductionModeNamesAreExhaustive) {
   using search::ReductionMode;
   EXPECT_STREQ(search::to_string(ReductionMode::kOff), "off");
-  EXPECT_STREQ(search::to_string(ReductionMode::kSleep), "sleep");
-  EXPECT_STREQ(search::to_string(ReductionMode::kSleepPersistent),
-               "sleep+persistent");
+  EXPECT_STREQ(search::to_string(ReductionMode::kSourceWakeup),
+               "source+wakeup");
   EXPECT_STREQ(search::to_string(static_cast<ReductionMode>(0xff)),
                "unknown");
 }
